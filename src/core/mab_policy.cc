@@ -1,13 +1,17 @@
 #include "core/mab_policy.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace mab {
 
 MabPolicy::MabPolicy(const MabConfig &config)
     : config_(config), rng_(config.seed)
 {
-    assert(config_.numArms >= 1);
+    // Checked in every build, NDEBUG included: a 0-arm policy would
+    // index empty r_/n_ in greedyArm().
+    if (config_.numArms < 1)
+        throw std::invalid_argument("MabPolicy: no arms");
     r_.assign(config_.numArms, 0.0);
     n_.assign(config_.numArms, 0.0);
 }

@@ -23,9 +23,9 @@ constexpr char kMagic[4] = {'M', 'A', 'B', 'A'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 32;
 
-/** Header scatter/gather: fixed little-endian-of-the-host layout, the
- *  same convention trace_io uses (arena files are per-machine caches,
- *  not interchange — a foreign-endian file fails the checksum). */
+/** Header scatter/gather: fields are copied in the host's native byte
+ *  order at fixed offsets (arena files are per-machine caches, not
+ *  interchange — a foreign-endian file fails the checksum). */
 struct Header
 {
     uint64_t count = 0;

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/lockstep.h"
 #include "sim/shard.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
@@ -19,7 +19,7 @@
  * Drifting trace-generator tests (trace/drift.h). The central
  * contract: a DriftProfile is an ordinary AppProfile plus a schedule,
  * so every property the stationary workloads enjoy — byte-exact
- * replay, lockstep identity, arena spill/warm-start, batch/shard
+ * replay, arena spill/warm-start and eviction, jobs/shard
  * determinism — must hold for drifting streams unchanged, and the
  * regime switches must land on the exact instruction the schedule
  * names.
@@ -289,26 +289,23 @@ driftTasks()
     return tasks;
 }
 
-TEST(DriftSweep, ByteIdenticalAcrossJobsAndBatch)
+TEST(DriftSweep, ByteIdenticalAcrossJobs)
 {
     TraceArena &arena = TraceArena::global();
     const bool enabled = arena.stats().enabled;
     arena.clear();
-    arena.setEnabled(true); // exercise the lockstep-batched path
+    arena.setEnabled(true); // exercise the arena replay path
 
     const std::vector<PfTask> tasks = driftTasks();
     const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, 1, tasks));
+        runFingerprint(sweepPrefetchRuns(1, tasks));
     ASSERT_FALSE(want.empty());
 
     for (int jobs : {1, 4}) {
-        for (int batch : {1, 8}) {
-            arena.clear();
-            const std::vector<uint64_t> got = runFingerprint(
-                sweepPrefetchRuns(jobs, batch, tasks));
-            EXPECT_EQ(got, want)
-                << "jobs=" << jobs << " batch=" << batch;
-        }
+        arena.clear();
+        const std::vector<uint64_t> got =
+            runFingerprint(sweepPrefetchRuns(jobs, tasks));
+        EXPECT_EQ(got, want) << "jobs=" << jobs;
     }
 
     arena.clear();
@@ -331,7 +328,7 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     sh.reset();
     const std::vector<PfTask> tasks = driftTasks();
     const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, 8, tasks));
+        runFingerprint(sweepPrefetchRuns(1, tasks));
 
     // Two workers, each owning i % 2 == k, then a merge pass — the
     // in-process version of --shards 2, which must reassemble the
@@ -340,7 +337,7 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     for (int k = 0; k < 2; ++k) {
         sh.reset();
         sh.configureWorker(2, k, "test_drift", "scale");
-        sweepPrefetchRuns(1, 8, tasks);
+        sweepPrefetchRuns(1, tasks);
         const std::string path =
             (tmp / ("part-" + std::to_string(k) + ".json")).string();
         std::string err;
@@ -354,7 +351,7 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     ASSERT_TRUE(sh.loadPartials(paths, "test_drift", "scale", &err))
         << err;
     const std::vector<uint64_t> got =
-        runFingerprint(sweepPrefetchRuns(1, 8, tasks));
+        runFingerprint(sweepPrefetchRuns(1, tasks));
     EXPECT_EQ(got, want);
 
     sh.reset();
@@ -363,7 +360,7 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     arena.setEnabled(enabled);
 }
 
-TEST(DriftLockstep, SurvivesMidStreamArenaEviction)
+TEST(DriftReplay, SurvivesMidStreamArenaEviction)
 {
     TraceArena &arena = TraceArena::global();
     arena.clear();
@@ -394,22 +391,24 @@ TEST(DriftLockstep, SurvivesMidStreamArenaEviction)
         want = counters(core);
     }
 
-    // Evict the drifting trace mid-run; the batch's shared_ptr must
-    // keep the stream alive and undisturbed through a phase boundary.
+    // Evict the drifting trace mid-run; the replay source's
+    // shared_ptr must keep the stream alive and undisturbed through a
+    // phase boundary.
     auto pf = bench::makePrefetcher("Stride", 7);
-    LockstepBatch lb(arena.acquireTrace(d.app, instr), instr);
-    lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-               pf.get());
+    ReplaySource src(arena.acquireTrace(d.app, instr));
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, src, pf.get(),
+                   nullptr, DramConfig{});
     arena.setBudgetBytes(1);
     uint64_t churn_seed = 1;
-    while (lb.position() < lb.records()) {
-        lb.advance(2'500); // slices straddle the 3k-instr boundaries
+    for (uint64_t k = 1; core.instructions() < instr; ++k) {
+        // Slices straddle the 3k-instr boundaries.
+        core.run(std::min<uint64_t>(k * 2'500, instr));
         AppProfile other = bases[1];
         other.seed += churn_seed++;
         arena.acquireTrace(other, 1'000);
     }
     EXPECT_GT(arena.stats().evictions, 0u);
-    EXPECT_EQ(counters(lb.core(0)), want);
+    EXPECT_EQ(counters(core), want);
 
     arena.setBudgetBytes(saved_budget);
     arena.clear();

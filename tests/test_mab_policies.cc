@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/ducb.h"
@@ -132,6 +133,19 @@ TEST(MabTemplate, GreedyArmTracksHighestReward)
     policy.selectArm();
     policy.observeReward(0.4);
     EXPECT_EQ(policy.greedyArm(), 1);
+}
+
+TEST(MabTemplate, NoArmsIsRejectedInEveryBuild)
+{
+    // A checked error, so NDEBUG builds cannot construct a policy
+    // whose greedyArm() would read past empty reward tables.
+    for (int arms : {0, -1}) {
+        EXPECT_THROW(Ducb{config(arms)}, std::invalid_argument)
+            << arms << " arms";
+        EXPECT_THROW(makePolicy(MabAlgorithm::Ucb, config(arms)),
+                     std::invalid_argument)
+            << arms << " arms";
+    }
 }
 
 // ---------------------------------------------------------------------
