@@ -1,9 +1,10 @@
 /**
  * @file
  * Differential-fuzzing driver (sim/fuzz.h): random-but-valid cache op
- * streams, bandit rollouts, end-to-end CoreModel runs and sweep grids,
- * each derived from a replayable uint64 seed, checked against naive
- * reference models and structural property checks.
+ * streams, bandit rollouts, end-to-end CoreModel runs, SMT pipeline
+ * runs and sweep grids, each derived from a replayable uint64 seed,
+ * checked against naive reference models and structural property
+ * checks.
  *
  *   bench_fuzz                          200 iterations from seed 1
  *   bench_fuzz --iters 1000 --seed 7    fixed-budget campaign
@@ -12,9 +13,10 @@
  *   bench_fuzz --replay <seed> --shrink ...and minimize the witness
  *   bench_fuzz --domain drift           restrict to one oracle domain
  *                                       (cache, bandit, sim, replay,
- *                                       drift, sweep)
+ *                                       drift, smt, sweep)
  *   bench_fuzz --self-test              prove the harness catches
- *                                       planted cache bugs and shrinks
+ *                                       planted cache and SMT
+ *                                       skip-ahead bugs and shrinks
  *                                       them to short repros
  *
  * Exit codes: 0 = all checks passed, 1 = mismatch or property
@@ -49,19 +51,21 @@ printSummary(const fuzz::FuzzReport &report)
     std::printf("fuzz: %" PRIu64 " iterations (%" PRIu64
                 " cache, %" PRIu64 " bandit, %" PRIu64
                 " sim, %" PRIu64 " replay, %" PRIu64
-                " drift, %" PRIu64 " sweep cases), %zu failure(s)\n",
+                " drift, %" PRIu64 " smt, %" PRIu64
+                " sweep cases), %zu failure(s)\n",
                 report.iterations, report.cacheCases,
                 report.banditCases, report.simCases,
                 report.replayCases, report.driftCases,
-                report.sweepCases,
+                report.smtCases, report.sweepCases,
                 report.failures.size());
 }
 
 /**
- * Harness self-test: every planted cache mutation must be caught by
- * the differential loop within a bounded number of case seeds, and the
- * shrinker must reduce the witness to a short repro. This is the
- * standing proof that a real regression in the single-pass fill probe
+ * Harness self-test: every planted cache mutation and every planted
+ * SMT skip-ahead fault must be caught by the differential loop within
+ * a bounded number of case seeds, and the shrinker must reduce the
+ * witness to a short repro. This is the standing proof that a real
+ * regression in the single-pass fill probe or the dead-cycle skip
  * would be noticed.
  */
 int
@@ -90,6 +94,33 @@ runSelfTest(uint64_t seed_base)
             if (min.ops.size() > kMaxShrunkOps) {
                 std::printf("  ERROR: shrunk repro exceeds %zu ops\n",
                             kMaxShrunkOps);
+                ok = false;
+            }
+        }
+        if (!caught) {
+            std::printf("mutant %-28s NOT caught in %d seeds\n",
+                        fuzz::toString(m), kMaxSeeds);
+            ok = false;
+        }
+    }
+    constexpr uint64_t kMaxShrunkCycles = 2000;
+    for (const fuzz::SmtMutation m : fuzz::allSmtMutations()) {
+        bool caught = false;
+        for (int i = 0; i < kMaxSeeds && !caught; ++i) {
+            const uint64_t cs = fuzz::iterationSeed(seed_base, i);
+            const fuzz::SmtCase c = fuzz::genSmtCase(fuzz::subSeed(cs, 6));
+            if (fuzz::diffSmtCase(c, m).empty())
+                continue;
+            caught = true;
+            const fuzz::SmtCase min = fuzz::shrinkSmtCase(c, m);
+            std::printf("mutant %-28s caught at seed #%d, "
+                        "shrunk %" PRIu64 " -> %" PRIu64 " cycles\n",
+                        fuzz::toString(m), i, c.totalCycles(),
+                        min.totalCycles());
+            if (min.totalCycles() > kMaxShrunkCycles) {
+                std::printf("  ERROR: shrunk repro exceeds %" PRIu64
+                            " cycles\n",
+                            kMaxShrunkCycles);
                 ok = false;
             }
         }
@@ -166,14 +197,14 @@ main(int argc, char **argv)
         return usageError(err);
     if (v) {
         static const char *const kDomains[] = {
-            "cache", "bandit", "sim", "replay", "drift", "sweep"};
+            "cache", "bandit", "sim", "replay", "drift", "smt", "sweep"};
         bool known = false;
         for (const char *d : kDomains)
             known = known || std::strcmp(v, d) == 0;
         if (!known)
             return usageError(
                 std::string("usage error: unknown --domain '") + v +
-                "' (cache, bandit, sim, replay, drift, sweep)");
+                "' (cache, bandit, sim, replay, drift, smt, sweep)");
         opt.domain = v;
     }
 

@@ -8,7 +8,9 @@
  *     (BM_CacheLookupFill),
  *   - devirtualized trace-source and prefetcher dispatch in
  *     CoreModel, and the per-access tracing branch hoisted out of the
- *     run loop (BM_CoreStep*).
+ *     run loop (BM_CoreStep*),
+ *   - the SMT pipeline kernel: dead-cycle skip-ahead, ring buffers and
+ *     the count calendar (BM_SmtPipelineRun).
  *
  * Counters: "ns/access" is wall time per simulated cache access (or
  * per instruction for core-level benches). Compare before/after with
@@ -25,6 +27,8 @@
 #include "memory/cache.h"
 #include "prefetch/stride.h"
 #include "sim/rng.h"
+#include "smt/pipeline.h"
+#include "smt/thread_source.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
 #include "trace/suites.h"
@@ -372,5 +376,34 @@ BM_ArenaHitRunConstruction(benchmark::State &state)
     arena.clear();
 }
 BENCHMARK(BM_ArenaHitRunConstruction)->UseRealTime();
+
+/**
+ * One SMT mix (gcc + lbm under Choi, default Table-5 geometry) run
+ * for 100k cycles per iteration over materialized uop streams — the
+ * per-cell work of the SMT sweeps, minus Hill Climbing's epoch hook.
+ */
+static void
+BM_SmtPipelineRun(benchmark::State &state)
+{
+    constexpr uint64_t kCycles = 100'000;
+    ThreadSource a(smtAppByName("gcc"), 1);
+    ThreadSource b(smtAppByName("lbm"), 2);
+    a.attachStream(acquireUopStream(a.params(), 1));
+    b.attachStream(acquireUopStream(b.params(), 2));
+    for (auto _ : state) {
+        a.reset();
+        b.reset();
+        SmtPipeline pipe(SmtConfig{}, {&a, &b});
+        pipe.setPolicy(choiPolicy());
+        pipe.run(kCycles);
+        benchmark::DoNotOptimize(pipe.committed(0));
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * kCycles));
+    state.counters["ns/cycle"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kCycles),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SmtPipelineRun)->UseRealTime();
 
 BENCHMARK_MAIN();

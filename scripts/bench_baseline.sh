@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Records the repo's perf trajectory for the sweep engine: end-to-end
-# wall-clock of the fig8 / fig13 / table8 sweeps at 1% scale — trace
+# wall-clock of the fig8 / table8 sweeps and the SMT family (fig5 /
+# fig13 / fig15 / table9, summed as smtFamilyMinOnMs) at 1% scale — trace
 # arena on vs off vs the persistent arena directory (cold spill and
 # warm mmap start) — at 1 and 4 jobs, plus the record-delivery
 # microbenchmark (BM_ReplayNext) and the compute-kernel
@@ -28,7 +29,8 @@ out=${2:-BENCH_sweeps.json}
 reps=${MAB_BASELINE_REPS:-5}
 export MAB_BENCH_SCALE=${MAB_BENCH_SCALE:-0.01}
 
-sweeps=(bench_fig8_singlecore bench_fig13_smt_scurve
+sweeps=(bench_fig8_singlecore bench_fig5_pg_policy_space
+    bench_fig13_smt_scurve bench_fig15_rename bench_table9_smt_algos
     bench_table8_prefetch_algos)
 jobs_list=(1 4)
 
@@ -150,6 +152,16 @@ with open(results_path) as f:
             "warmSavingPctMin": saving(min(warm), min(cold)),
         })
 
+# The SMT family's summed min wall-clock per jobs setting (arena on,
+# the default configuration).
+smt_family = ("bench_fig5_pg_policy_space", "bench_fig13_smt_scurve",
+              "bench_fig15_rename", "bench_table9_smt_algos")
+smt_family_ms = {}
+for s in sweeps:
+    if s["sweep"] in smt_family:
+        key = str(s["jobs"])
+        smt_family_ms[key] = smt_family_ms.get(key, 0) + s["minOnMs"]
+
 with open(micro_path) as f:
     micro = json.load(f)
 replay_ns = None
@@ -221,6 +233,7 @@ doc = {
         "beforeNsPerOp": kernel_before_ns,
     },
     "sweeps": sweeps,
+    "smtFamilyMinOnMs": smt_family_ms,
 }
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
@@ -238,4 +251,7 @@ for s in sweeps:
           f"(on/off/dircold/dirwarm)  "
           f"arena saving {s['savingPctMin']}%  "
           f"warm saving {s['warmSavingPctMin']}%")
+for jobs, ms in sorted(smt_family_ms.items()):
+    print(f"  SMT family (fig5+fig13+fig15+table9) jobs={jobs}  "
+          f"summed min {ms} ms")
 EOF

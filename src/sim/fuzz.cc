@@ -18,6 +18,7 @@
 #include "prefetch/stride.h"
 #include "sim/parallel.h"
 #include "sim/rng.h"
+#include "smt/thread_source.h"
 #include "trace/record.h"
 #include "trace/replay.h"
 
@@ -1614,6 +1615,283 @@ checkDriftEquivalence(uint64_t seed)
 }
 
 // ---------------------------------------------------------------------
+// SMT skip-ahead differential
+// ---------------------------------------------------------------------
+
+} // namespace mab::fuzz
+
+namespace mab {
+
+/** The self-test's access to the pipeline's wake sources. */
+struct SmtWakeFault
+{
+    static void
+    ignore(SmtPipeline &pipe, unsigned sources)
+    {
+        pipe.wakeSources_ &= ~sources;
+    }
+};
+
+} // namespace mab
+
+namespace mab::fuzz {
+
+uint64_t
+SmtCase::totalCycles() const
+{
+    uint64_t n = 0;
+    for (const SmtSegment &seg : segments)
+        n += seg.cycles;
+    return n;
+}
+
+std::string
+formatSmtCase(const SmtCase &c)
+{
+    const SmtConfig &g = c.config;
+    std::ostringstream os;
+    os << "smt case: apps=" << c.app0 << "+" << c.app1
+       << " seed=" << c.seed << " chunkSeed=" << c.chunkSeed
+       << " widths=" << g.fetchWidth << "/" << g.decodeWidth << "/"
+       << g.commitWidth << " iq=" << g.iqSize << " rob=" << g.robSize
+       << " lq=" << g.lqSize << " sq=" << g.sqSize
+       << " irf=" << g.irfSize << " frf=" << g.frfSize
+       << " fq=" << g.fetchQueueSize
+       << " penalty=" << g.mispredictPenalty << " segments=[";
+    for (size_t i = 0; i < c.segments.size(); ++i) {
+        const SmtSegment &seg = c.segments[i];
+        os << (i ? " " : "") << seg.cycles << "@" << seg.policy.name()
+           << "/" << seg.shares[0] << ":" << seg.shares[1];
+    }
+    os << "]";
+    return os.str();
+}
+
+SmtCase
+genSmtCase(uint64_t seed)
+{
+    Rng rng(subSeed(seed, 200));
+    SmtCase c;
+    const std::vector<SmtAppParams> &apps = smtAppCatalog();
+    c.app0 = apps[rng.below(apps.size())].name;
+    c.app1 = apps[rng.below(apps.size())].name;
+    c.seed = subSeed(seed, 201);
+    c.chunkSeed = subSeed(seed, 202);
+    if (!rng.bernoulli(0.25)) {
+        SmtConfig &g = c.config;
+        const auto size = [&rng](uint64_t max) {
+            return 1 + static_cast<int>(rng.below(max));
+        };
+        g.fetchWidth = size(8);
+        g.decodeWidth = size(8);
+        g.commitWidth = size(10);
+        g.iqSize = size(128);
+        g.robSize = size(320);
+        g.lqSize = size(96);
+        g.sqSize = size(72);
+        g.irfSize = size(200);
+        g.frfSize = size(200);
+        g.fetchQueueSize = size(32);
+        g.mispredictPenalty = rng.below(40);
+    }
+    const std::vector<PgPolicy> policies = allPgPolicies();
+    const size_t n = 1 + rng.below(5);
+    for (size_t i = 0; i < n; ++i) {
+        SmtSegment seg;
+        seg.cycles = 200 + rng.below(4000);
+        // Hill Climbing's range, plus the extremes.
+        const double s = rng.bernoulli(0.2)
+            ? static_cast<double>(rng.below(3)) / 2.0
+            : rng.uniform();
+        seg.shares = {s, 1.0 - s};
+        seg.policy = policies[rng.below(policies.size())];
+        c.segments.push_back(seg);
+    }
+    return c;
+}
+
+const char *
+toString(SmtMutation m)
+{
+    switch (m) {
+      case SmtMutation::None: return "None";
+      case SmtMutation::IgnoreRobHeadWake: return "IgnoreRobHeadWake";
+      case SmtMutation::IgnoreCalendarWake: return "IgnoreCalendarWake";
+      case SmtMutation::IgnoreFetchRedirectWake:
+        return "IgnoreFetchRedirectWake";
+    }
+    return "?";
+}
+
+std::vector<SmtMutation>
+allSmtMutations()
+{
+    return {SmtMutation::IgnoreRobHeadWake,
+            SmtMutation::IgnoreCalendarWake,
+            SmtMutation::IgnoreFetchRedirectWake};
+}
+
+namespace {
+
+unsigned
+wakeSourceOf(SmtMutation m)
+{
+    switch (m) {
+      case SmtMutation::None: return 0;
+      case SmtMutation::IgnoreRobHeadWake: return SmtPipeline::kWakeRobHead;
+      case SmtMutation::IgnoreCalendarWake:
+        return SmtPipeline::kWakeCalendar;
+      case SmtMutation::IgnoreFetchRedirectWake:
+        return SmtPipeline::kWakeFetchRedirect;
+    }
+    return 0;
+}
+
+/** Every observable of @p p as (name, value) pairs. */
+std::vector<std::pair<std::string, int64_t>>
+smtObservables(const SmtPipeline &p)
+{
+    std::vector<std::pair<std::string, int64_t>> v;
+    const auto add = [&v](std::string name, uint64_t x) {
+        v.emplace_back(std::move(name), static_cast<int64_t>(x));
+    };
+    add("cycles", p.cycles());
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        const std::string th = "t" + std::to_string(t) + ".";
+        add(th + "committed", p.committed(t));
+        add(th + "fetched", p.fetched(t));
+        add(th + "iqUsed", p.iqUsed(t));
+        add(th + "robUsed", p.robUsed(t));
+        add(th + "lqUsed", p.lqUsed(t));
+        add(th + "sqUsed", p.sqUsed(t));
+        add(th + "irfUsed", p.irfUsed(t));
+        add(th + "frfUsed", p.frfUsed(t));
+        add(th + "branchesInRob", p.branchesInRob(t));
+        add(th + "gated", p.isGated(t));
+    }
+    const RenameStats &r = p.renameStats();
+    add("rename.stallRob", r.stallRob);
+    add("rename.stallIq", r.stallIq);
+    add("rename.stallLq", r.stallLq);
+    add("rename.stallSq", r.stallSq);
+    add("rename.stallRf", r.stallRf);
+    add("rename.stalled", r.stalled);
+    add("rename.idle", r.idle);
+    add("rename.running", r.running);
+    add("rename.cycles", r.cycles);
+    return v;
+}
+
+std::string
+diffSmtState(const SmtPipeline &fast, const SmtPipeline &ref)
+{
+    const auto a = smtObservables(fast);
+    const auto b = smtObservables(ref);
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].second != b[i].second)
+            return a[i].first + ": run()=" + std::to_string(a[i].second) +
+                " cycle()=" + std::to_string(b[i].second);
+    }
+    StatsRegistry ja, jb;
+    fast.exportStats(ja, "smt");
+    ref.exportStats(jb, "smt");
+    if (ja.toJsonString() != jb.toJsonString())
+        return "exportStats JSON differs";
+    return "";
+}
+
+/** @p c cut to its first @p cycles cycles. */
+SmtCase
+smtPrefix(const SmtCase &c, uint64_t cycles)
+{
+    SmtCase p = c;
+    p.segments.clear();
+    for (const SmtSegment &seg : c.segments) {
+        if (cycles == 0)
+            break;
+        p.segments.push_back(seg);
+        p.segments.back().cycles = std::min(seg.cycles, cycles);
+        cycles -= p.segments.back().cycles;
+    }
+    return p;
+}
+
+} // namespace
+
+std::string
+diffSmtCase(const SmtCase &c, SmtMutation m)
+{
+    const SmtAppParams &p0 = smtAppByName(c.app0);
+    const SmtAppParams &p1 = smtAppByName(c.app1);
+    ThreadSource fast0(p0, c.seed * 2 + 1), fast1(p1, c.seed * 2 + 2);
+    ThreadSource ref0(p0, c.seed * 2 + 1), ref1(p1, c.seed * 2 + 2);
+    SmtPipeline fast(c.config, {&fast0, &fast1});
+    SmtPipeline ref(c.config, {&ref0, &ref1});
+    SmtWakeFault::ignore(fast, wakeSourceOf(m));
+
+    // Chunk sizes: single cycles, short bursts and epoch-scale runs.
+    Rng chunks(c.chunkSeed);
+    for (size_t s = 0; s < c.segments.size(); ++s) {
+        const SmtSegment &seg = c.segments[s];
+        for (SmtPipeline *p : {&fast, &ref}) {
+            p->setPolicy(seg.policy);
+            p->setShares(seg.shares);
+        }
+        for (uint64_t left = seg.cycles; left > 0;) {
+            const uint64_t r = chunks.below(3);
+            const uint64_t draw = r == 0 ? 1
+                : r == 1                 ? 1 + chunks.below(16)
+                                         : 1 + chunks.below(2048);
+            const uint64_t n = std::min(left, draw);
+            fast.run(n);
+            for (uint64_t i = 0; i < n; ++i)
+                ref.cycle();
+            left -= n;
+            const std::string err = diffSmtState(fast, ref);
+            if (!err.empty())
+                return "segment " + std::to_string(s) + " cycle " +
+                    std::to_string(ref.cycles()) + ": " + err + " (" +
+                    formatSmtCase(c) + ")";
+        }
+    }
+    return "";
+}
+
+SmtCase
+shrinkSmtCase(const SmtCase &c, SmtMutation m)
+{
+    const auto fails = [m](const SmtCase &t) {
+        return !diffSmtCase(t, m).empty();
+    };
+    if (!fails(c))
+        return c;
+    // Shortest failing prefix: a divergence seen after a chunk ending
+    // at cycle X reappears in every prefix of at least X cycles (the
+    // chunk stream is the same up to X).
+    uint64_t lo = 0, hi = c.totalCycles();
+    while (hi - lo > 1) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (fails(smtPrefix(c, mid)))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    SmtCase cur = smtPrefix(c, hi);
+    const auto tryKnob = [&](auto &&mutate) {
+        SmtCase trial = cur;
+        mutate(trial);
+        if (fails(trial))
+            cur = trial;
+    };
+    tryKnob([](SmtCase &t) { t.config = SmtConfig{}; });
+    for (size_t i = 0; i < cur.segments.size(); ++i) {
+        tryKnob([i](SmtCase &t) { t.segments[i].shares = {0.5, 0.5}; });
+        tryKnob([i](SmtCase &t) { t.segments[i].policy = icountPolicy(); });
+    }
+    return cur;
+}
+
+// ---------------------------------------------------------------------
 // Serial-vs-parallel sweep oracle
 // ---------------------------------------------------------------------
 
@@ -1725,6 +2003,7 @@ FuzzReport::merge(const FuzzReport &other)
     simCases += other.simCases;
     replayCases += other.replayCases;
     driftCases += other.driftCases;
+    smtCases += other.smtCases;
     sweepCases += other.sweepCases;
     failures.insert(failures.end(), other.failures.begin(),
                     other.failures.end());
@@ -1815,6 +2094,16 @@ runFuzzIteration(uint64_t caseSeed, FuzzReport &report, bool shrink,
             }
             report.failures.push_back(
                 {caseSeed, "drift", err, repro});
+        }
+    }
+    if (enabled("smt")) {
+        ++report.smtCases;
+        const SmtCase sc = genSmtCase(subSeed(caseSeed, 6));
+        std::string err = diffSmtCase(sc);
+        if (!err.empty()) {
+            if (shrink)
+                err += "\nminimized: " + formatSmtCase(shrinkSmtCase(sc));
+            report.failures.push_back({caseSeed, "smt", err, repro});
         }
     }
     // The sweep oracle spawns threads; run it on a deterministic

@@ -1,6 +1,7 @@
 #ifndef MAB_SIM_FUZZ_H
 #define MAB_SIM_FUZZ_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
+#include "smt/pipeline.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
 
@@ -35,6 +37,8 @@ namespace mab::fuzz {
  *    history) DUCB / SW-UCB / UCB / eGreedy update math checked
  *    against the incremental implementations in src/core, including
  *    a closed-form discounted-count cross-check for DUCB.
+ *  - SMT skip-ahead: SmtPipeline::run()'s dead-cycle skip checked
+ *    chunk by chunk against one cycle() call per cycle.
  *  - Sweep oracle: serial vs parallel SweepRunner equivalence.
  *  - End-to-end property checks on random CoreModel runs (counter
  *    conservation, MSHR/queue bounds, IPC in (0, commitWidth]).
@@ -430,6 +434,80 @@ DriftCase shrinkDriftCase(const DriftCase &c);
 std::string checkDriftEquivalence(uint64_t seed);
 
 // ---------------------------------------------------------------------
+// SMT skip-ahead differential
+// ---------------------------------------------------------------------
+
+/** One stretch of an SMT case: the PG policy and shares installed
+ *  before it (as an epoch boundary would), then its length. */
+struct SmtSegment
+{
+    uint64_t cycles = 1000;
+    std::array<double, SmtConfig::kThreads> shares{0.5, 0.5};
+    PgPolicy policy;
+};
+
+/**
+ * An SMT differential case: a random pipeline geometry and catalog app
+ * pair run through SmtPipeline::run() in random chunk sizes and,
+ * alongside, through one cycle() call per cycle.
+ */
+struct SmtCase
+{
+    SmtConfig config;
+    std::string app0 = "gcc";
+    std::string app1 = "lbm";
+    /** Thread-source seed (lane seeds derive from it). */
+    uint64_t seed = 1;
+    std::vector<SmtSegment> segments;
+    /** Seed of the run() chunk-size stream. */
+    uint64_t chunkSeed = 1;
+
+    uint64_t totalCycles() const;
+};
+
+std::string formatSmtCase(const SmtCase &c);
+
+/** Generate an SMT case: geometry (degenerate 1-entry structures
+ *  included), app pair, policies and share schedule from @p seed. */
+SmtCase genSmtCase(uint64_t seed);
+
+/**
+ * Planted faults in the dead-cycle skip for harness self-tests: each
+ * drops one wake source, so run() sleeps through a cycle that would
+ * have changed the state.
+ */
+enum class SmtMutation
+{
+    None,
+    /** The wake ignores the ROB heads' completion cycles. */
+    IgnoreRobHeadWake,
+    /** The wake ignores pending calendar releases. */
+    IgnoreCalendarWake,
+    /** The wake ignores the end of a fetch redirect. */
+    IgnoreFetchRedirectWake,
+};
+
+const char *toString(SmtMutation m);
+
+/** Every planted mutation (SmtMutation::None excluded). */
+std::vector<SmtMutation> allSmtMutations();
+
+/**
+ * Run @p c through the skip-ahead run() (with @p m planted) and the
+ * cycle() reference, comparing after every chunk: cycle count, every
+ * occupancy accessor, gating, committed/fetched, the rename counters
+ * and the exportStats JSON. Returns "" on agreement, else the first
+ * divergence.
+ */
+std::string diffSmtCase(const SmtCase &c,
+                        SmtMutation m = SmtMutation::None);
+
+/** Shrink a failing SMT case: shortest failing prefix, then default
+ *  geometry, shares and policy. Returns @p c unchanged if it passes. */
+SmtCase shrinkSmtCase(const SmtCase &c,
+                      SmtMutation m = SmtMutation::None);
+
+// ---------------------------------------------------------------------
 // Serial-vs-parallel sweep oracle
 // ---------------------------------------------------------------------
 
@@ -457,7 +535,7 @@ struct FuzzOptions
     /** Parallel fuzz lanes (iterations are independent). */
     int jobs = 1;
     /** Restrict to one domain ("cache", "bandit", "sim", "replay",
-     *  "drift", "sweep"); empty runs them all. */
+     *  "drift", "smt", "sweep"); empty runs them all. */
     std::string domain;
 };
 
@@ -465,7 +543,7 @@ struct FuzzFailure
 {
     uint64_t caseSeed = 0;
     std::string domain;  ///< "cache", "bandit", "sim", "replay",
-                         ///< "drift", "sweep"
+                         ///< "drift", "smt", "sweep"
     std::string message; ///< divergence + (when shrunk) minimal case
     std::string repro;   ///< one-line replay command
 };
@@ -478,6 +556,7 @@ struct FuzzReport
     uint64_t simCases = 0;
     uint64_t replayCases = 0;
     uint64_t driftCases = 0;
+    uint64_t smtCases = 0;
     uint64_t sweepCases = 0;
     std::vector<FuzzFailure> failures;
 

@@ -74,7 +74,8 @@ enum class Phase
     CacheAccess,   ///< CacheHierarchy::demandAccess
     PrefetchIssue, ///< prefetcher training + queue issue (inclusive)
     BanditUpdate,  ///< MAB policy observeReward + selectArm
-    SmtCycle,      ///< SmtPipeline::cycle (inclusive)
+    SmtCycle,      ///< SmtPipeline::run, one scope per call
+                   ///< (a chunk of cycles, not one cycle)
     kCount,
 };
 

@@ -2,16 +2,74 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "sim/tracing.h"
 
 namespace mab {
 
+namespace {
+
+/** Structures a uop of each kind holds from dispatch to commit (the
+ *  SQ entry is held past commit, until its drain completes). Indexed
+ *  by UopKind. */
+struct KindUse
+{
+    int lq;
+    int sq;
+    int irf;
+    int frf;
+    int branch;
+};
+
+constexpr std::array<KindUse, 5> kKindUse = {{
+    {0, 0, 1, 0, 0}, // IntAlu
+    {0, 0, 0, 1, 0}, // FpAlu
+    {1, 0, 1, 0, 0}, // Load
+    {0, 1, 0, 0, 0}, // Store
+    {0, 0, 0, 0, 1}, // Branch
+}};
+
+const KindUse &
+use(UopKind kind)
+{
+    return kKindUse[static_cast<size_t>(kind)];
+}
+
+} // namespace
+
+void
+validateSmtConfig(const SmtConfig &c)
+{
+    const std::pair<const char *, int> fields[] = {
+        {"fetchWidth", c.fetchWidth},
+        {"decodeWidth", c.decodeWidth},
+        {"commitWidth", c.commitWidth},
+        {"iqSize", c.iqSize},
+        {"robSize", c.robSize},
+        {"lqSize", c.lqSize},
+        {"sqSize", c.sqSize},
+        {"irfSize", c.irfSize},
+        {"frfSize", c.frfSize},
+        {"fetchQueueSize", c.fetchQueueSize},
+    };
+    for (const auto &[name, value] : fields) {
+        if (value < 1 || value > SmtConfig::kMaxSize) {
+            throw std::invalid_argument(
+                std::string("SmtConfig: ") + name + " = " +
+                std::to_string(value) + " is outside [1, " +
+                std::to_string(SmtConfig::kMaxSize) + "]");
+        }
+    }
+}
+
 SmtPipeline::SmtPipeline(
     const SmtConfig &config,
     std::array<ThreadSource *, SmtConfig::kThreads> sources)
-    : config_(config), sources_(sources),
-      calendar_(kCalendarSize)
+    // Validate before the rings are sized from the config.
+    : config_((validateSmtConfig(config), config)), sources_(sources),
+      threads_{Thread(config), Thread(config)},
+      calendar_(kCalendarSize, 0)
 {
     policy_ = choiPolicy();
 }
@@ -23,7 +81,7 @@ SmtPipeline::setShares(const std::array<double, SmtConfig::kThreads> &s)
 }
 
 void
-SmtPipeline::scheduleEvent(uint64_t at, int thread, int type)
+SmtPipeline::scheduleEvent(uint64_t at, int thread, bool sq)
 {
     assert(at > now_);
     // Pathological dependence chains can push an issue time past the
@@ -31,25 +89,26 @@ SmtPipeline::scheduleEvent(uint64_t at, int thread, int type)
     // rather than wrap around.
     if (at - now_ >= kCalendarSize)
         at = now_ + kCalendarSize - 1;
-    calendar_[at % kCalendarSize].push_back(
-        {static_cast<int8_t>(thread), static_cast<int8_t>(type)});
+    calendar_[at % kCalendarSize] += uint64_t{1} << slotShift(thread, sq);
 }
 
-void
+bool
 SmtPipeline::processEvents()
 {
-    auto &bucket = calendar_[now_ % kCalendarSize];
-    for (const Event &e : bucket) {
-        Thread &th = threads_[e.thread];
-        if (e.type == 0)
-            --th.iqUsed;
-        else
-            --th.sqUsed;
+    uint64_t &slot = calendar_[now_ % kCalendarSize];
+    const uint64_t w = slot;
+    if (w == 0)
+        return false;
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        Thread &th = threads_[t];
+        th.iqUsed -= static_cast<int>(w >> slotShift(t, false) & 0xffff);
+        th.sqUsed -= static_cast<int>(w >> slotShift(t, true) & 0xffff);
     }
-    bucket.clear();
+    slot = 0;
+    return true;
 }
 
-void
+bool
 SmtPipeline::commitStage()
 {
     int budget = config_.commitWidth;
@@ -62,65 +121,39 @@ SmtPipeline::commitStage()
                th.rob.front().completeCycle <= now_) {
             const RobEntry e = th.rob.front();
             th.rob.pop_front();
-            --th.robUsed;
-            switch (e.kind) {
-              case UopKind::Load:
-                --th.lqUsed;
-                --th.irfUsed;
-                break;
-              case UopKind::Store:
+            const KindUse &u = use(e.kind);
+            th.lqUsed -= u.lq;
+            th.irfUsed -= u.irf;
+            th.frfUsed -= u.frf;
+            th.branchesInRob -= u.branch;
+            if (u.sq) {
                 // SQ entry drains to memory after commit.
                 scheduleEvent(now_ + std::max<uint64_t>(
                                          e.drainLatency, 1),
-                              t, 1);
-                break;
-              case UopKind::Branch:
-                --th.branchesInRob;
-                break;
-              case UopKind::IntAlu:
-                --th.irfUsed;
-                break;
-              case UopKind::FpAlu:
-                --th.frfUsed;
-                break;
+                              t, true);
             }
             ++th.committed;
             --budget;
         }
     }
+    return budget != config_.commitWidth;
 }
 
 bool
-SmtPipeline::tryDispatch(int t, unsigned &block_mask)
+SmtPipeline::tryDispatch(int t, Free &free, unsigned &block_mask)
 {
     Thread &th = threads_[t];
     if (th.fetchQueue.empty())
         return false;
     const Uop &uop = th.fetchQueue.front();
+    const KindUse &u = use(uop.kind);
 
-    const int rob_total = threads_[0].robUsed + threads_[1].robUsed;
-    const int iq_total = threads_[0].iqUsed + threads_[1].iqUsed;
-    const int lq_total = threads_[0].lqUsed + threads_[1].lqUsed;
-    const int sq_total = threads_[0].sqUsed + threads_[1].sqUsed;
-    const int irf_total = threads_[0].irfUsed + threads_[1].irfUsed;
-    const int frf_total = threads_[0].frfUsed + threads_[1].frfUsed;
-
-    unsigned blocked = 0;
-    if (rob_total >= config_.robSize)
-        blocked |= 1u << 0;
-    if (iq_total >= config_.iqSize)
-        blocked |= 1u << 1;
-    if (uop.kind == UopKind::Load && lq_total >= config_.lqSize)
-        blocked |= 1u << 2;
-    if (uop.kind == UopKind::Store && sq_total >= config_.sqSize)
-        blocked |= 1u << 3;
-    const bool needs_irf =
-        uop.kind == UopKind::IntAlu || uop.kind == UopKind::Load;
-    const bool needs_frf = uop.kind == UopKind::FpAlu;
-    if ((needs_irf && irf_total >= config_.irfSize) ||
-        (needs_frf && frf_total >= config_.frfSize)) {
-        blocked |= 1u << 4;
-    }
+    const unsigned blocked = unsigned{free.rob <= 0} |
+        unsigned{free.iq <= 0} << 1 |
+        unsigned{u.lq != 0 && free.lq <= 0} << 2 |
+        unsigned{u.sq != 0 && free.sq <= 0} << 3 |
+        unsigned{(u.irf != 0 && free.irf <= 0) ||
+                 (u.frf != 0 && free.frf <= 0)} << 4;
     if (blocked) {
         block_mask |= blocked;
         return false;
@@ -140,32 +173,24 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
     th.completionRing[th.dispatchedCount % kDepRing] = complete;
     ++th.dispatchedCount;
 
-    ++th.robUsed;
     ++th.iqUsed;
-    scheduleEvent(issue, t, 0); // IQ entry frees at issue
-    switch (uop.kind) {
-      case UopKind::Load:
-        ++th.lqUsed;
-        ++th.irfUsed;
-        break;
-      case UopKind::Store:
-        ++th.sqUsed;
-        break;
-      case UopKind::Branch:
-        ++th.branchesInRob;
-        if (uop.mispredicted) {
-            // The frontend redirects when the branch resolves.
-            th.fetchBlockedUntil = std::max(
-                th.fetchBlockedUntil,
-                complete + config_.mispredictPenalty);
-        }
-        break;
-      case UopKind::IntAlu:
-        ++th.irfUsed;
-        break;
-      case UopKind::FpAlu:
-        ++th.frfUsed;
-        break;
+    scheduleEvent(issue, t, false); // IQ entry frees at issue
+    th.lqUsed += u.lq;
+    th.sqUsed += u.sq;
+    th.irfUsed += u.irf;
+    th.frfUsed += u.frf;
+    th.branchesInRob += u.branch;
+    --free.rob;
+    --free.iq;
+    free.lq -= u.lq;
+    free.sq -= u.sq;
+    free.irf -= u.irf;
+    free.frf -= u.frf;
+    if (uop.mispredicted) {
+        // The frontend redirects when the branch resolves (UopGen
+        // marks only branches mispredicted).
+        th.fetchBlockedUntil = std::max(
+            th.fetchBlockedUntil, complete + config_.mispredictPenalty);
     }
 
     RobEntry entry;
@@ -177,50 +202,65 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
     return true;
 }
 
-void
+unsigned
 SmtPipeline::renameStage()
 {
+    const Thread &t0 = threads_[0];
+    const Thread &t1 = threads_[1];
+    if (t0.fetchQueue.empty() && t1.fetchQueue.empty())
+        return kRenameIdle;
+
+    Free free{
+        config_.robSize - t0.rob.size() - t1.rob.size(),
+        config_.iqSize - t0.iqUsed - t1.iqUsed,
+        config_.lqSize - t0.lqUsed - t1.lqUsed,
+        config_.sqSize - t0.sqUsed - t1.sqUsed,
+        config_.irfSize - t0.irfUsed - t1.irfUsed,
+        config_.frfSize - t0.frfUsed - t1.frfUsed,
+    };
     int budget = config_.decodeWidth;
-    int dispatched = 0;
     unsigned block_mask = 0;
 
-    while (budget > 0) {
-        bool progressed = false;
+    // Round-robin over the threads still able to dispatch. A failed
+    // attempt is final for this cycle: free entries only shrink and
+    // the thread's queue head stays put, so retrying cannot succeed.
+    unsigned open = unsigned{!t0.fetchQueue.empty()} |
+        unsigned{!t1.fetchQueue.empty()} << 1;
+    while (budget > 0 && open != 0) {
         for (int i = 0; i < SmtConfig::kThreads && budget > 0; ++i) {
             const int t = (renameNext_ + i) % SmtConfig::kThreads;
-            if (tryDispatch(t, block_mask)) {
-                ++dispatched;
+            if (!(open >> t & 1u))
+                continue;
+            if (tryDispatch(t, free, block_mask)) {
                 --budget;
-                progressed = true;
                 renameNext_ = (t + 1) % SmtConfig::kThreads;
+            } else {
+                open &= ~(1u << t);
             }
         }
-        if (!progressed)
-            break;
     }
+    return budget < config_.decodeWidth ? kRenameRunning : block_mask;
+}
 
-    ++renameStats_.cycles;
-    if (dispatched > 0) {
-        ++renameStats_.running;
+void
+SmtPipeline::accountRename(unsigned outcome, uint64_t cycles)
+{
+    RenameStats &s = renameStats_;
+    s.cycles += cycles;
+    if (outcome & kRenameRunning) {
+        s.running += cycles;
         return;
     }
-    const bool any_input = !threads_[0].fetchQueue.empty() ||
-        !threads_[1].fetchQueue.empty();
-    if (!any_input) {
-        ++renameStats_.idle;
+    if (outcome & kRenameIdle) {
+        s.idle += cycles;
         return;
     }
-    ++renameStats_.stalled;
-    if (block_mask & (1u << 0))
-        ++renameStats_.stallRob;
-    if (block_mask & (1u << 1))
-        ++renameStats_.stallIq;
-    if (block_mask & (1u << 2))
-        ++renameStats_.stallLq;
-    if (block_mask & (1u << 3))
-        ++renameStats_.stallSq;
-    if (block_mask & (1u << 4))
-        ++renameStats_.stallRf;
+    s.stalled += cycles;
+    s.stallRob += (outcome & 1u) ? cycles : 0;
+    s.stallIq += (outcome >> 1 & 1u) ? cycles : 0;
+    s.stallLq += (outcome >> 2 & 1u) ? cycles : 0;
+    s.stallSq += (outcome >> 3 & 1u) ? cycles : 0;
+    s.stallRf += (outcome >> 4 & 1u) ? cycles : 0;
 }
 
 bool
@@ -240,7 +280,7 @@ SmtPipeline::isGated(int t) const
         return true;
     }
     if (policy_.gateRob &&
-        th.robUsed > s * config_.robSize) {
+        th.rob.size() > s * config_.robSize) {
         return true;
     }
     if (policy_.gateIrf &&
@@ -256,8 +296,7 @@ SmtPipeline::pickFetchThread() const
     auto eligible = [&](int t) {
         const Thread &th = threads_[t];
         return !isGated(t) && th.fetchBlockedUntil <= now_ &&
-            static_cast<int>(th.fetchQueue.size()) <
-                config_.fetchQueueSize;
+            th.fetchQueue.size() < config_.fetchQueueSize;
     };
 
     if (policy_.priority == FetchPriority::RR) {
@@ -297,26 +336,23 @@ SmtPipeline::pickFetchThread() const
     return best;
 }
 
-void
+bool
 SmtPipeline::fetchStage()
 {
     const int t = pickFetchThread();
     if (t < 0)
-        return;
+        return false;
     if (policy_.priority == FetchPriority::RR)
         rrNext_ = (t + 1) % SmtConfig::kThreads;
 
     Thread &th = threads_[t];
-    const int room = config_.fetchQueueSize -
-        static_cast<int>(th.fetchQueue.size());
+    const int room = config_.fetchQueueSize - th.fetchQueue.size();
     const int count = std::min(config_.fetchWidth, room);
     for (int i = 0; i < count; ++i) {
-        Uop uop = sources_[t]->next();
-        const bool redirect =
-            uop.kind == UopKind::Branch && uop.mispredicted;
+        const Uop uop = sources_[t]->next();
         th.fetchQueue.push_back(uop);
         ++th.fetched;
-        if (redirect) {
+        if (uop.mispredicted) {
             // Conservative frontend bubble until the branch resolves
             // (extended at dispatch once the resolve time is known).
             th.fetchBlockedUntil = std::max(
@@ -325,36 +361,75 @@ SmtPipeline::fetchStage()
             break;
         }
     }
+    return true;
 }
 
-void
-SmtPipeline::cycle()
+unsigned
+SmtPipeline::step()
 {
-    // Branch outside the RAII scope: when profiling is off the hot
-    // path must carry no ScopedPhase cleanup at all.
-    if (tracing::Tracer::profileActive()) {
-        tracing::ScopedPhase phase(tracing::Phase::SmtCycle);
-        cycleImpl();
-        return;
-    }
-    cycleImpl();
-}
-
-void
-SmtPipeline::cycleImpl()
-{
-    processEvents();
-    commitStage();
-    renameStage();
-    fetchStage();
+    bool live = processEvents();
+    live |= commitStage();
+    const unsigned rename = renameStage();
+    accountRename(rename, 1);
+    live |= (rename & kRenameRunning) != 0;
+    live |= fetchStage();
     ++now_;
+    return live ? rename | kLive : rename;
+}
+
+uint64_t
+SmtPipeline::nextWake(uint64_t end) const
+{
+    // After a dead cycle every ROB head completes, and every fetch
+    // redirect ends, at or after now_; only those times and calendar
+    // releases can change the state again.
+    uint64_t wake = end;
+    for (const Thread &th : threads_) {
+        if ((wakeSources_ & kWakeRobHead) && !th.rob.empty())
+            wake = std::min(wake, th.rob.front().completeCycle);
+        if ((wakeSources_ & kWakeFetchRedirect) &&
+            th.fetchBlockedUntil >= now_)
+            wake = std::min(wake, th.fetchBlockedUntil);
+    }
+    // Pending releases all lie in [now_, now_ + kCalendarSize - 1).
+    if (wakeSources_ & kWakeCalendar) {
+        const uint64_t horizon =
+            std::min<uint64_t>(wake, now_ + kCalendarSize - 1);
+        for (uint64_t c = now_; c < horizon; ++c) {
+            if (calendar_[c % kCalendarSize] != 0)
+                return c;
+        }
+    }
+    return wake;
+}
+
+void
+SmtPipeline::runChunk(uint64_t n)
+{
+    const uint64_t end = now_ + n;
+    while (now_ < end) {
+        const unsigned outcome = step();
+        if (outcome & kLive)
+            continue;
+        // A dead cycle: the state stays frozen until the next wake,
+        // so the cycles before it repeat its rename outcome.
+        const uint64_t wake = nextWake(end);
+        accountRename(outcome, wake - now_);
+        now_ = wake;
+    }
 }
 
 void
 SmtPipeline::run(uint64_t n)
 {
-    for (uint64_t i = 0; i < n; ++i)
-        cycle();
+    // Branch outside the RAII scope: when profiling is off the hot
+    // path must carry no ScopedPhase cleanup at all.
+    if (tracing::Tracer::profileActive()) {
+        tracing::ScopedPhase phase(tracing::Phase::SmtCycle);
+        runChunk(n);
+        return;
+    }
+    runChunk(n);
 }
 
 void

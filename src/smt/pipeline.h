@@ -2,8 +2,9 @@
 #define MAB_SMT_PIPELINE_H
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,18 @@ struct SmtConfig
     int fetchQueueSize = 24;
 
     uint64_t mispredictPenalty = 12;
+
+    /** Largest width or structure size a pipeline accepts: the range
+     *  of one per-slot release counter of the event calendar. */
+    static constexpr int kMaxSize = 0xffff;
 };
+
+/**
+ * Reject a config the pipeline cannot run: every width and structure
+ * size must lie in [1, SmtConfig::kMaxSize].
+ * @throws std::invalid_argument naming the first bad field.
+ */
+void validateSmtConfig(const SmtConfig &config);
 
 /** Rename-stage activity accounting (Figure 15). */
 struct RenameStats
@@ -65,13 +77,21 @@ struct RenameStats
  * thread chosen by the active fetch Priority & Gating policy.
  * Execution is modeled by computing each uop's completion time at
  * dispatch from its register dependency and sampled latency; IQ and
- * SQ occupancies drain through a calendar queue at the corresponding
- * issue/drain times, so structure backpressure behaves realistically
- * without per-cycle wakeup scans.
+ * SQ occupancies drain through a calendar of per-slot release counts
+ * at the corresponding issue/drain times, so structure backpressure
+ * behaves realistically without per-cycle wakeup scans.
+ *
+ * run() skips dead cycles exactly: a cycle with no calendar release,
+ * commit, dispatch or fetch leaves every piece of state but the clock
+ * and the rename counters unchanged, so all cycles up to the next
+ * wake (calendar release, ROB-head completion, fetch redirect end)
+ * are dead too and are accounted in one step. cycle() is the plain
+ * one-cycle step; both produce identical state.
  */
 class SmtPipeline
 {
   public:
+    /** @throws std::invalid_argument via validateSmtConfig(). */
     SmtPipeline(const SmtConfig &config,
                 std::array<ThreadSource *, SmtConfig::kThreads> sources);
 
@@ -86,10 +106,13 @@ class SmtPipeline
      */
     void setShares(const std::array<double, SmtConfig::kThreads> &s);
 
-    /** Advance one cycle. */
-    void cycle();
+    /** Advance one cycle (the unskipped reference step). */
+    void cycle() { step(); }
 
-    /** Run @p n cycles. */
+    /**
+     * Run @p n cycles, skipping dead cycles. One tracing::Phase::
+     * SmtCycle profile scope covers the whole call.
+     */
     void run(uint64_t n);
 
     uint64_t cycles() const { return now_; }
@@ -110,7 +133,7 @@ class SmtPipeline
 
     /** Occupancy introspection (tests, priority metrics). */
     int iqUsed(int t) const { return threads_[t].iqUsed; }
-    int robUsed(int t) const { return threads_[t].robUsed; }
+    int robUsed(int t) const { return threads_[t].rob.size(); }
     int lqUsed(int t) const { return threads_[t].lqUsed; }
     int sqUsed(int t) const { return threads_[t].sqUsed; }
     int irfUsed(int t) const { return threads_[t].irfUsed; }
@@ -128,11 +151,60 @@ class SmtPipeline
     void exportStats(StatsRegistry &reg,
                      const std::string &prefix) const;
 
+    /** Wake sources of the dead-cycle skip (see nextWake()). */
+    enum WakeSource : unsigned
+    {
+        kWakeCalendar = 1u << 0,
+        kWakeRobHead = 1u << 1,
+        kWakeFetchRedirect = 1u << 2,
+    };
+
   private:
+    /** Fault injection for the differential fuzzer's self-test
+     *  (sim/fuzz.h): clears wake sources the skip must honour. */
+    friend struct SmtWakeFault;
+
     static constexpr int kCalendarSize = 32768;
     static constexpr int kDepRing = 64;
 
-    void cycleImpl();
+    /** Fixed-capacity FIFO over a power-of-two buffer; callers never
+     *  push past the capacity it was built with. */
+    template <typename T>
+    class Ring
+    {
+      public:
+        explicit Ring(int capacity)
+            : buf_(std::bit_ceil(static_cast<uint32_t>(capacity))),
+              mask_(static_cast<uint32_t>(buf_.size()) - 1)
+        {
+        }
+
+        bool empty() const { return size_ == 0; }
+        int size() const { return static_cast<int>(size_); }
+        const T &front() const { return buf_[head_]; }
+
+        void
+        push_back(const T &v)
+        {
+            assert(size_ <= mask_);
+            buf_[(head_ + size_) & mask_] = v;
+            ++size_;
+        }
+
+        void
+        pop_front()
+        {
+            assert(size_ > 0);
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+
+      private:
+        std::vector<T> buf_;
+        uint32_t mask_;
+        uint32_t head_ = 0;
+        uint32_t size_ = 0;
+    };
 
     struct RobEntry
     {
@@ -143,8 +215,13 @@ class SmtPipeline
 
     struct Thread
     {
-        std::deque<Uop> fetchQueue;
-        std::deque<RobEntry> rob;
+        explicit Thread(const SmtConfig &c)
+            : fetchQueue(c.fetchQueueSize), rob(c.robSize)
+        {
+        }
+
+        Ring<Uop> fetchQueue;
+        Ring<RobEntry> rob;
         std::array<uint64_t, kDepRing> completionRing{};
         uint64_t dispatchedCount = 0;
         uint64_t committed = 0;
@@ -152,7 +229,6 @@ class SmtPipeline
         uint64_t fetchBlockedUntil = 0;
 
         int iqUsed = 0;
-        int robUsed = 0;
         int lqUsed = 0;
         int sqUsed = 0;
         int irfUsed = 0;
@@ -160,21 +236,47 @@ class SmtPipeline
         int branchesInRob = 0;
     };
 
-    struct Event
+    /** Free entries of each shared structure during one rename. */
+    struct Free
     {
-        int8_t thread;
-        int8_t type; // 0 = IQ release, 1 = SQ release
+        int rob;
+        int iq;
+        int lq;
+        int sq;
+        int irf;
+        int frf;
     };
 
-    void scheduleEvent(uint64_t at, int thread, int type);
-    void processEvents();
-    void commitStage();
-    void renameStage();
-    void fetchStage();
-    int pickFetchThread() const;
-    bool tryDispatch(int t, unsigned &block_mask);
+    /** Bit offset of a release counter in a calendar slot word:
+     *  IQ releases of thread t at 16t, SQ releases at 16(2 + t). */
+    static constexpr int
+    slotShift(int thread, bool sq)
+    {
+        return 16 * ((sq ? 2 : 0) + thread);
+    }
 
-    int totalUsed(int structure) const;
+    /** Rename outcome of one cycle: a stall mask (bits 0-4: ROB, IQ,
+     *  LQ, SQ, RF) or one of these two flags. */
+    static constexpr unsigned kRenameIdle = 1u << 5;
+    static constexpr unsigned kRenameRunning = 1u << 6;
+    /** step() flag: the cycle changed state beyond the clock and the
+     *  rename counters. */
+    static constexpr unsigned kLive = 1u << 7;
+
+    /** One cycle; returns its rename outcome, plus kLive unless the
+     *  cycle was dead. */
+    unsigned step();
+    void runChunk(uint64_t n);
+    uint64_t nextWake(uint64_t end) const;
+    void accountRename(unsigned outcome, uint64_t cycles);
+
+    void scheduleEvent(uint64_t at, int thread, bool sq);
+    bool processEvents();
+    bool commitStage();
+    unsigned renameStage();
+    bool fetchStage();
+    int pickFetchThread() const;
+    bool tryDispatch(int t, Free &free, unsigned &block_mask);
 
     SmtConfig config_;
     std::array<ThreadSource *, SmtConfig::kThreads> sources_;
@@ -182,10 +284,14 @@ class SmtPipeline
     std::array<double, SmtConfig::kThreads> shares_{0.5, 0.5};
     PgPolicy policy_;
 
-    std::vector<std::vector<Event>> calendar_;
+    /** Pending releases per cycle slot (kCalendarSize slots), four
+     *  16-bit counters packed per slot word (see slotShift()). */
+    std::vector<uint64_t> calendar_;
     uint64_t now_ = 0;
     int rrNext_ = 0;
     int renameNext_ = 0;
+    unsigned wakeSources_ = kWakeCalendar | kWakeRobHead |
+        kWakeFetchRedirect;
     RenameStats renameStats_;
 };
 

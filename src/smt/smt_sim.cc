@@ -1,5 +1,8 @@
 #include "smt/smt_sim.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "sim/tracing.h"
 
 namespace mab {
@@ -12,6 +15,9 @@ SmtSimulator::SmtSimulator(std::string app0, std::string app1,
       src1_(smtAppByName(app1), config.seed * 0x9E37u + 2),
       label_(app0 + "+" + app1)
 {
+    if (config.hcEpochCycles == 0)
+        throw std::invalid_argument("SmtRunConfig: hcEpochCycles = 0");
+    validateSmtConfig(pipe_config);
     // Per-lane seeds depend only on the run seed, not the mix, so one
     // materialized stream per (app, lane) serves every mix it appears
     // in (fig13 runs each app in ~21 mixes under 3 fetch regimes).
@@ -42,8 +48,28 @@ SmtSimulator::runLoop(SmtPipeline &pipe, HillClimbing &hc,
 
     pipe.setShares({hc.share(0), hc.share(1)});
 
-    for (uint64_t c = 1; c <= config_.maxCycles; ++c) {
-        pipe.cycle();
+    // Advance in chunks that end on every cycle the loop body acts
+    // on: epoch and sample boundaries, the budget, and the earliest
+    // cycle an unrecorded thread can reach its instruction target (it
+    // commits at most commitWidth per cycle).
+    const uint64_t width =
+        static_cast<uint64_t>(pipeConfig_.commitWidth);
+    uint64_t c = 0;
+    while (c < config_.maxCycles) {
+        uint64_t k = std::min(config_.maxCycles - c,
+                              config_.hcEpochCycles -
+                                  c % config_.hcEpochCycles);
+        if (granularity != 0)
+            k = std::min(k, next_sample - c);
+        for (int t = 0; t < 2; ++t) {
+            if (config_.instrPerThread != 0 && !recorded[t]) {
+                const uint64_t left =
+                    config_.instrPerThread - pipe.committed(t);
+                k = std::min(k, (left + width - 1) / width);
+            }
+        }
+        pipe.run(k);
+        c += k;
 
         if (granularity != 0 && c >= next_sample) {
             const uint64_t d_c = c - last_sample_cycle;

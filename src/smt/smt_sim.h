@@ -65,6 +65,8 @@ struct SmtRunResult
 class SmtSimulator
 {
   public:
+    /** @throws std::invalid_argument when config.hcEpochCycles is 0
+     *  or @p pipe_config fails validateSmtConfig(). */
     SmtSimulator(std::string app0, std::string app1,
                  const SmtRunConfig &config = {},
                  const SmtConfig &pipe_config = {});

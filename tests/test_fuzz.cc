@@ -53,6 +53,9 @@ TEST(FuzzSeeds, GeneratorsArePureFunctionsOfTheSeed)
     const fuzz::SimCase sa = fuzz::genSimCase(42);
     const fuzz::SimCase sb = fuzz::genSimCase(42);
     EXPECT_EQ(fuzz::formatSimCase(sa), fuzz::formatSimCase(sb));
+
+    EXPECT_EQ(fuzz::formatSmtCase(fuzz::genSmtCase(42)),
+              fuzz::formatSmtCase(fuzz::genSmtCase(42)));
 }
 
 TEST(FuzzSeeds, GeneratedCacheGeometriesAreValid)
@@ -252,6 +255,49 @@ TEST(SimProperties, ShrinkIsANoOpOnPassingCases)
 }
 
 // ---------------------------------------------------------------------------
+// SMT skip-ahead differential
+
+TEST(SmtDifferential, GeneratedCasesAgree)
+{
+    for (uint64_t i = 0; i < 60; ++i) {
+        const fuzz::SmtCase c =
+            fuzz::genSmtCase(fuzz::subSeed(fuzz::iterationSeed(1, i), 6));
+        ASSERT_EQ(fuzz::diffSmtCase(c), "") << "iteration " << i;
+    }
+}
+
+/** Every planted wake fault is caught and shrunk to a prefix of at
+ *  most 2000 cycles that still witnesses it. */
+TEST(SmtDifferential, EveryMutantIsCaughtAndShrunk)
+{
+    for (const fuzz::SmtMutation m : fuzz::allSmtMutations()) {
+        SCOPED_TRACE(fuzz::toString(m));
+        bool caught = false;
+        for (uint64_t i = 0; i < 50 && !caught; ++i) {
+            const fuzz::SmtCase c = fuzz::genSmtCase(
+                fuzz::subSeed(fuzz::iterationSeed(1, i), 6));
+            if (fuzz::diffSmtCase(c, m).empty())
+                continue;
+            caught = true;
+            const fuzz::SmtCase min = fuzz::shrinkSmtCase(c, m);
+            EXPECT_NE(fuzz::diffSmtCase(min, m), "");
+            EXPECT_EQ(fuzz::diffSmtCase(min), "");
+            EXPECT_LE(min.totalCycles(), 2000u);
+            EXPECT_LE(min.totalCycles(), c.totalCycles());
+        }
+        EXPECT_TRUE(caught) << "mutant not detected within 50 case seeds";
+    }
+}
+
+TEST(SmtDifferential, ShrinkIsANoOpOnPassingCases)
+{
+    const fuzz::SmtCase c = fuzz::genSmtCase(7);
+    ASSERT_EQ(fuzz::diffSmtCase(c), "");
+    EXPECT_EQ(fuzz::formatSmtCase(fuzz::shrinkSmtCase(c)),
+              fuzz::formatSmtCase(c));
+}
+
+// ---------------------------------------------------------------------------
 // Sweep oracle
 
 TEST(SweepOracle, SerialAndParallelRunsAgree)
@@ -275,6 +321,7 @@ TEST(FuzzHarness, SmokeRunPassesAndCountsCases)
     EXPECT_EQ(report.cacheCases, 40u);
     EXPECT_EQ(report.banditCases, 40u);
     EXPECT_EQ(report.simCases, 40u);
+    EXPECT_EQ(report.smtCases, 40u);
 
     uint64_t expected_sweeps = 0;
     for (uint64_t i = 0; i < 40; ++i)

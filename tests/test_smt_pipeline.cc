@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
+#include <tuple>
 
+#include "sim/rng.h"
+#include "smt/hill_climbing.h"
 #include "smt/pipeline.h"
+#include "smt/smt_sim.h"
 #include "smt/thread_source.h"
 
 namespace mab {
@@ -233,6 +238,204 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("IC_0000", "BrC_1000", "IC_1110", "IC_1111",
                       "LSQC_1111", "RR_1111", "IC_1011", "LSQC_0100",
                       "RR_0000", "BrC_1111"));
+
+TEST(SmtPipeline, RejectsWidthsAndSizesOutsideCounterRange)
+{
+    const SmtAppParams app = computeApp();
+    const auto build = [&](auto mutate) {
+        SmtConfig cfg;
+        mutate(cfg);
+        Rig rig(app, app, cfg);
+    };
+    EXPECT_NO_THROW(build([](SmtConfig &) {}));
+    EXPECT_THROW(build([](SmtConfig &c) { c.commitWidth = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](SmtConfig &c) { c.fetchWidth = -1; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](SmtConfig &c) { c.decodeWidth = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](SmtConfig &c) { c.robSize = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](SmtConfig &c) { c.fetchQueueSize = 0; }),
+                 std::invalid_argument);
+    // IQ and SQ releases are counted in 16-bit calendar lanes.
+    EXPECT_THROW(
+        build([](SmtConfig &c) { c.iqSize = SmtConfig::kMaxSize + 1; }),
+        std::invalid_argument);
+    EXPECT_THROW(
+        build([](SmtConfig &c) { c.sqSize = SmtConfig::kMaxSize + 1; }),
+        std::invalid_argument);
+    EXPECT_NO_THROW(build([](SmtConfig &c) {
+        c.iqSize = SmtConfig::kMaxSize;
+        c.robSize = 1;
+        c.fetchQueueSize = 1;
+    }));
+}
+
+/** Every observable of two pipelines, field by field. */
+void
+expectSameState(const SmtPipeline &a, const SmtPipeline &b)
+{
+    ASSERT_EQ(a.cycles(), b.cycles());
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t) + " at cycle " +
+                     std::to_string(b.cycles()));
+        EXPECT_EQ(a.committed(t), b.committed(t));
+        EXPECT_EQ(a.fetched(t), b.fetched(t));
+        EXPECT_EQ(a.iqUsed(t), b.iqUsed(t));
+        EXPECT_EQ(a.robUsed(t), b.robUsed(t));
+        EXPECT_EQ(a.lqUsed(t), b.lqUsed(t));
+        EXPECT_EQ(a.sqUsed(t), b.sqUsed(t));
+        EXPECT_EQ(a.irfUsed(t), b.irfUsed(t));
+        EXPECT_EQ(a.frfUsed(t), b.frfUsed(t));
+        EXPECT_EQ(a.branchesInRob(t), b.branchesInRob(t));
+        EXPECT_EQ(a.isGated(t), b.isGated(t));
+    }
+    const RenameStats &ra = a.renameStats();
+    const RenameStats &rb = b.renameStats();
+    EXPECT_EQ(ra.stallRob, rb.stallRob);
+    EXPECT_EQ(ra.stallIq, rb.stallIq);
+    EXPECT_EQ(ra.stallLq, rb.stallLq);
+    EXPECT_EQ(ra.stallSq, rb.stallSq);
+    EXPECT_EQ(ra.stallRf, rb.stallRf);
+    EXPECT_EQ(ra.stalled, rb.stalled);
+    EXPECT_EQ(ra.idle, rb.idle);
+    EXPECT_EQ(ra.running, rb.running);
+    EXPECT_EQ(ra.cycles, rb.cycles);
+    StatsRegistry ja, jb;
+    a.exportStats(ja, "smt");
+    b.exportStats(jb, "smt");
+    EXPECT_EQ(ja.toJsonString(), jb.toJsonString());
+}
+
+/** (geometry rob/iq/sq, PG policy, thread-0 share). */
+using SkipParam = std::tuple<std::tuple<int, int, int>, const char *,
+                             double>;
+
+class SkipAheadTest : public ::testing::TestWithParam<SkipParam>
+{
+};
+
+/**
+ * run(n) in random chunk sizes must leave exactly the state of n
+ * cycle() calls, with shares and policy changing between chunks the
+ * way Hill Climbing and the bandit change them between epochs.
+ */
+TEST_P(SkipAheadTest, RunInRandomChunksMatchesCycleStepping)
+{
+    const auto [geometry, policy, share] = GetParam();
+    SmtConfig cfg;
+    std::tie(cfg.robSize, cfg.iqSize, cfg.sqSize) = geometry;
+    Rig fast(memoryHogApp(), computeApp(), cfg);
+    Rig ref(memoryHogApp(), computeApp(), cfg);
+    for (Rig *rig : {&fast, &ref}) {
+        rig->pipe.setPolicy(pgPolicyFromName(policy));
+        rig->pipe.setShares({share, 1.0 - share});
+    }
+
+    Rng rng(0xC0FFEE);
+    while (ref.pipe.cycles() < 40'000) {
+        // Mostly long chunks (where skipping happens), some short.
+        const uint64_t n = rng.bernoulli(0.3) ? 1 + rng.below(8)
+                                              : 1 + rng.below(3000);
+        fast.pipe.run(n);
+        for (uint64_t i = 0; i < n; ++i)
+            ref.pipe.cycle();
+        expectSameState(fast.pipe, ref.pipe);
+        if (::testing::Test::HasFailure())
+            return;
+        if (rng.bernoulli(0.2)) {
+            const double s = rng.uniform(0.05, 0.95);
+            for (Rig *rig : {&fast, &ref})
+                rig->pipe.setShares({s, 1.0 - s});
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndPolicies, SkipAheadTest,
+    ::testing::Combine(
+        ::testing::Values(std::make_tuple(64, 32, 16),
+                          std::make_tuple(128, 64, 32),
+                          std::make_tuple(224, 97, 56),
+                          std::make_tuple(512, 192, 112)),
+        ::testing::Values("IC_0000", "IC_1011", "LSQC_0110",
+                          "RR_1101"),
+        ::testing::Values(0.5, 0.3)));
+
+/** A fetch-starved mix: long mispredict redirects and DRAM stalls,
+ *  so most cycles are dead and every wake source fires. */
+TEST(SmtPipeline, SkipAheadMatchesOnMispredictHeavyMix)
+{
+    SmtAppParams noisy = computeApp();
+    noisy.branchFrac = 0.25;
+    noisy.mispredictRate = 0.3;
+    SmtConfig cfg;
+    cfg.mispredictPenalty = 40;
+    Rig fast(noisy, memoryHogApp(), cfg);
+    Rig ref(noisy, memoryHogApp(), cfg);
+    fast.pipe.run(60'000);
+    for (int i = 0; i < 60'000; ++i)
+        ref.pipe.cycle();
+    expectSameState(fast.pipe, ref.pipe);
+}
+
+/**
+ * SmtSimulator's chunked loop records a thread's IPC at the exact
+ * cycle it reaches instrPerThread: compare against the per-cycle
+ * reference loop the simulator used to run.
+ */
+TEST(SmtPipeline, InstrPerThreadCrossingMatchesPerCycleLoop)
+{
+    for (const uint64_t target : {7'777ull, 31'000ull}) {
+        SmtRunConfig rc;
+        rc.maxCycles = 60'000;
+        rc.hcEpochCycles = 1000;
+        rc.instrPerThread = target;
+        rc.seed = 3;
+        SmtSimulator sim("mcf", "povray", rc);
+        const SmtRunResult got = sim.runStatic(choiPolicy());
+
+        const SmtConfig cfg;
+        ThreadSource a(smtAppByName("mcf"), rc.seed * 0x9E37u + 1);
+        ThreadSource b(smtAppByName("povray"), rc.seed * 0x9E37u + 2);
+        SmtPipeline pipe(cfg, {&a, &b});
+        pipe.setPolicy(choiPolicy());
+        HillClimbing hc({cfg.iqSize, rc.hcDelta});
+        pipe.setShares({hc.share(0), hc.share(1)});
+        std::array<double, 2> ipc{};
+        std::array<bool, 2> recorded{false, false};
+        uint64_t epoch_start = 0;
+        for (uint64_t c = 1; c <= rc.maxCycles; ++c) {
+            pipe.cycle();
+            for (int t = 0; t < 2; ++t) {
+                if (!recorded[t] && pipe.committed(t) >= target) {
+                    recorded[t] = true;
+                    ipc[t] = pipe.ipc(t);
+                }
+            }
+            if (recorded[0] && recorded[1])
+                break;
+            if (c % rc.hcEpochCycles == 0) {
+                const uint64_t instr =
+                    pipe.committed(0) + pipe.committed(1);
+                hc.endEpoch(static_cast<double>(instr - epoch_start) /
+                            static_cast<double>(rc.hcEpochCycles));
+                epoch_start = instr;
+                pipe.setShares({hc.share(0), hc.share(1)});
+            }
+        }
+        for (int t = 0; t < 2; ++t) {
+            if (!recorded[t])
+                ipc[t] = pipe.ipc(t);
+        }
+        SCOPED_TRACE("target " + std::to_string(target));
+        EXPECT_EQ(got.cycles, pipe.cycles());
+        EXPECT_EQ(got.ipc[0], ipc[0]);
+        EXPECT_EQ(got.ipc[1], ipc[1]);
+        EXPECT_EQ(got.rename.cycles, pipe.renameStats().cycles);
+    }
+}
 
 } // namespace
 } // namespace mab

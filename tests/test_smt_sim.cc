@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "smt/smt_sim.h"
 
 namespace mab {
@@ -133,6 +135,27 @@ TEST(SmtSim, InstrPerThreadRecordsAtTarget)
     EXPECT_GT(r.ipc[0], 0.0);
     EXPECT_GT(r.ipc[1], 0.0);
     EXPECT_LT(r.cycles, cfg.maxCycles); // both targets reached early
+}
+
+TEST(SmtSim, RejectsZeroEpochAndBadPipelineConfig)
+{
+    SmtRunConfig cfg = quick();
+    cfg.hcEpochCycles = 0;
+    EXPECT_THROW(SmtSimulator("gcc", "namd", cfg),
+                 std::invalid_argument);
+    SmtConfig pipe;
+    pipe.commitWidth = 0;
+    EXPECT_THROW(SmtSimulator("gcc", "namd", quick(), pipe),
+                 std::invalid_argument);
+    pipe = SmtConfig{};
+    pipe.iqSize = SmtConfig::kMaxSize + 1;
+    EXPECT_THROW(SmtSimulator("gcc", "namd", quick(), pipe),
+                 std::invalid_argument);
+    cfg.hcEpochCycles = 1;
+    cfg.maxCycles = 100;
+    EXPECT_EQ(SmtSimulator("gcc", "namd", cfg).runStatic(choiPolicy())
+                  .cycles,
+              100u);
 }
 
 TEST(SmtSim, RenameBreakdownConsistent)
