@@ -9,8 +9,9 @@
  *   - devirtualized trace-source and prefetcher dispatch in
  *     CoreModel, and the per-access tracing branch hoisted out of the
  *     run loop (BM_CoreStep*),
- *   - the SMT pipeline kernel: dead-cycle skip-ahead, ring buffers and
- *     the count calendar (BM_SmtPipelineRun).
+ *   - the SMT pipeline kernel: dead-cycle skip-ahead, ring buffers,
+ *     the count calendar, the inlined per-cycle loop and cached gate
+ *     limits (BM_SmtPipelineRun/ICount and /Choi).
  *
  * Counters: "ns/access" is wall time per simulated cache access (or
  * per instruction for core-level benches). Compare before/after with
@@ -378,12 +379,13 @@ BM_ArenaHitRunConstruction(benchmark::State &state)
 BENCHMARK(BM_ArenaHitRunConstruction)->UseRealTime();
 
 /**
- * One SMT mix (gcc + lbm under Choi, default Table-5 geometry) run
- * for 100k cycles per iteration over materialized uop streams — the
- * per-cell work of the SMT sweeps, minus Hill Climbing's epoch hook.
+ * One SMT mix (gcc + lbm, default Table-5 geometry) under @p policy,
+ * run for 100k cycles per iteration over materialized uop streams —
+ * the per-cell work of the SMT sweeps, minus Hill Climbing's epoch
+ * hook.
  */
 static void
-BM_SmtPipelineRun(benchmark::State &state)
+BM_SmtPipelineRun(benchmark::State &state, const PgPolicy &policy)
 {
     constexpr uint64_t kCycles = 100'000;
     ThreadSource a(smtAppByName("gcc"), 1);
@@ -394,7 +396,7 @@ BM_SmtPipelineRun(benchmark::State &state)
         a.reset();
         b.reset();
         SmtPipeline pipe(SmtConfig{}, {&a, &b});
-        pipe.setPolicy(choiPolicy());
+        pipe.setPolicy(policy);
         pipe.run(kCycles);
         benchmark::DoNotOptimize(pipe.committed(0));
     }
@@ -404,6 +406,9 @@ BM_SmtPipelineRun(benchmark::State &state)
         static_cast<double>(state.iterations() * kCycles),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_SmtPipelineRun)->UseRealTime();
+// ICount never gates; Choi (IC_1011) gates on the IQ, ROB and IRF.
+BENCHMARK_CAPTURE(BM_SmtPipelineRun, ICount, icountPolicy())
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmtPipelineRun, Choi, choiPolicy())->UseRealTime();
 
 BENCHMARK_MAIN();

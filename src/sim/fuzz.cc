@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <sstream>
@@ -1719,6 +1720,7 @@ toString(SmtMutation m)
       case SmtMutation::IgnoreCalendarWake: return "IgnoreCalendarWake";
       case SmtMutation::IgnoreFetchRedirectWake:
         return "IgnoreFetchRedirectWake";
+      case SmtMutation::StaleGateLimits: return "StaleGateLimits";
     }
     return "?";
 }
@@ -1728,7 +1730,20 @@ allSmtMutations()
 {
     return {SmtMutation::IgnoreRobHeadWake,
             SmtMutation::IgnoreCalendarWake,
-            SmtMutation::IgnoreFetchRedirectWake};
+            SmtMutation::IgnoreFetchRedirectWake,
+            SmtMutation::StaleGateLimits};
+}
+
+bool
+smtGatedByDefinition(const SmtPipeline &p, const SmtConfig &config,
+                     const PgPolicy &policy, double share, int t)
+{
+    return (policy.gateIq && p.iqUsed(t) > share * config.iqSize) ||
+        (policy.gateLsq &&
+         p.lqUsed(t) + p.sqUsed(t) >
+             share * (config.lqSize + config.sqSize)) ||
+        (policy.gateRob && p.robUsed(t) > share * config.robSize) ||
+        (policy.gateIrf && p.irfUsed(t) > share * config.irfSize);
 }
 
 namespace {
@@ -1737,7 +1752,8 @@ unsigned
 wakeSourceOf(SmtMutation m)
 {
     switch (m) {
-      case SmtMutation::None: return 0;
+      case SmtMutation::None:
+      case SmtMutation::StaleGateLimits: return 0;
       case SmtMutation::IgnoreRobHeadWake: return SmtPipeline::kWakeRobHead;
       case SmtMutation::IgnoreCalendarWake:
         return SmtPipeline::kWakeCalendar;
@@ -1835,7 +1851,8 @@ diffSmtCase(const SmtCase &c, SmtMutation m)
         const SmtSegment &seg = c.segments[s];
         for (SmtPipeline *p : {&fast, &ref}) {
             p->setPolicy(seg.policy);
-            p->setShares(seg.shares);
+            if (m != SmtMutation::StaleGateLimits)
+                p->setShares(seg.shares);
         }
         for (uint64_t left = seg.cycles; left > 0;) {
             const uint64_t r = chunks.below(3);
@@ -1847,7 +1864,16 @@ diffSmtCase(const SmtCase &c, SmtMutation m)
             for (uint64_t i = 0; i < n; ++i)
                 ref.cycle();
             left -= n;
-            const std::string err = diffSmtState(fast, ref);
+            // Once the two agree, ref's gating stands for both.
+            std::string err = diffSmtState(fast, ref);
+            for (int t = 0; t < SmtConfig::kThreads && err.empty(); ++t) {
+                if (ref.isGated(t) !=
+                    smtGatedByDefinition(ref, c.config, seg.policy,
+                                         seg.shares[t], t)) {
+                    err = "t" + std::to_string(t) +
+                        ".gated disagrees with the gate definition";
+                }
+            }
             if (!err.empty())
                 return "segment " + std::to_string(s) + " cycle " +
                     std::to_string(ref.cycles()) + ": " + err + " (" +
@@ -1865,18 +1891,30 @@ shrinkSmtCase(const SmtCase &c, SmtMutation m)
     };
     if (!fails(c))
         return c;
+    // Drop whole segments first: a fault that needs a share or policy
+    // change shows in the first segment that makes one.
+    SmtCase cut = c;
+    for (size_t i = 0; i < cut.segments.size() && cut.segments.size() > 1;) {
+        SmtCase trial = cut;
+        trial.segments.erase(trial.segments.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+        if (fails(trial))
+            cut = trial;
+        else
+            ++i;
+    }
     // Shortest failing prefix: a divergence seen after a chunk ending
     // at cycle X reappears in every prefix of at least X cycles (the
     // chunk stream is the same up to X).
-    uint64_t lo = 0, hi = c.totalCycles();
+    uint64_t lo = 0, hi = cut.totalCycles();
     while (hi - lo > 1) {
         const uint64_t mid = lo + (hi - lo) / 2;
-        if (fails(smtPrefix(c, mid)))
+        if (fails(smtPrefix(cut, mid)))
             hi = mid;
         else
             lo = mid;
     }
-    SmtCase cur = smtPrefix(c, hi);
+    SmtCase cur = smtPrefix(cut, hi);
     const auto tryKnob = [&](auto &&mutate) {
         SmtCase trial = cur;
         mutate(trial);

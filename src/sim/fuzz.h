@@ -472,9 +472,11 @@ std::string formatSmtCase(const SmtCase &c);
 SmtCase genSmtCase(uint64_t seed);
 
 /**
- * Planted faults in the dead-cycle skip for harness self-tests: each
- * drops one wake source, so run() sleeps through a cycle that would
- * have changed the state.
+ * Planted faults for harness self-tests. The first three drop one
+ * wake source of the dead-cycle skip, so run() sleeps through a cycle
+ * that would have changed the state. StaleGateLimits leaves the gate
+ * limits of the previous shares in place in both pipelines, which
+ * only the gating oracle (smtGatedByDefinition) can see.
  */
 enum class SmtMutation
 {
@@ -485,6 +487,8 @@ enum class SmtMutation
     IgnoreCalendarWake,
     /** The wake ignores the end of a fetch redirect. */
     IgnoreFetchRedirectWake,
+    /** setShares() leaves the gate limits stale. */
+    StaleGateLimits,
 };
 
 const char *toString(SmtMutation m);
@@ -493,17 +497,28 @@ const char *toString(SmtMutation m);
 std::vector<SmtMutation> allSmtMutations();
 
 /**
+ * SmtPipeline::isGated(@p t) by its definition, from the public
+ * occupancy accessors: under @p policy, thread @p t is gated when its
+ * IQ, LQ+SQ, ROB or IRF occupancy exceeds @p share times the size of
+ * that structure in @p config.
+ */
+bool smtGatedByDefinition(const SmtPipeline &p, const SmtConfig &config,
+                          const PgPolicy &policy, double share, int t);
+
+/**
  * Run @p c through the skip-ahead run() (with @p m planted) and the
  * cycle() reference, comparing after every chunk: cycle count, every
  * occupancy accessor, gating, committed/fetched, the rename counters
- * and the exportStats JSON. Returns "" on agreement, else the first
- * divergence.
+ * and the exportStats JSON; and checking isGated() against
+ * smtGatedByDefinition(). Returns "" on agreement, else the
+ * first divergence.
  */
 std::string diffSmtCase(const SmtCase &c,
                         SmtMutation m = SmtMutation::None);
 
-/** Shrink a failing SMT case: shortest failing prefix, then default
- *  geometry, shares and policy. Returns @p c unchanged if it passes. */
+/** Shrink a failing SMT case: drop whole segments, take the shortest
+ *  failing prefix, then try the default geometry, shares and policy.
+ *  Returns @p c unchanged if it passes. */
 SmtCase shrinkSmtCase(const SmtCase &c,
                       SmtMutation m = SmtMutation::None);
 

@@ -1,13 +1,26 @@
 #include "smt/hill_climbing.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
 HillClimbing::HillClimbing(const Config &config)
-    : config_(config), base_(config.iqSize / 2)
+    : config_((validate(config), config)), base_(config.iqSize / 2)
 {
     setupCandidates();
+}
+
+void
+HillClimbing::validate(const Config &config)
+{
+    if (config.delta < 1 || config.iqSize < 2 * config.delta) {
+        throw std::invalid_argument(
+            "HillClimbing: delta = " + std::to_string(config.delta) +
+            " with iqSize = " + std::to_string(config.iqSize) +
+            " needs delta >= 1 and iqSize >= 2 * delta");
+    }
 }
 
 int

@@ -27,7 +27,15 @@ class HillClimbing
         int delta = 2;
     };
 
+    /** @throws std::invalid_argument via validate(). */
     explicit HillClimbing(const Config &config);
+
+    /**
+     * Reject a config whose trial range [delta, iqSize - delta] is
+     * empty: delta must be at least 1 and iqSize at least 2 * delta.
+     * @throws std::invalid_argument
+     */
+    static void validate(const Config &config);
 
     /** Thread 0 IQ entries being trialed in the current epoch. */
     int currentEntries() const { return candidates_[trial_]; }

@@ -72,12 +72,22 @@ SmtPipeline::SmtPipeline(
       calendar_(kCalendarSize, 0)
 {
     policy_ = choiPolicy();
+    setShares({0.5, 0.5});
 }
 
 void
 SmtPipeline::setShares(const std::array<double, SmtConfig::kThreads> &s)
 {
-    shares_ = s;
+    // The exact doubles s * size that the gate definition compares
+    // occupancies against, formed once per share change.
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        gateLimits_[t] = {
+            s[t] * config_.iqSize,
+            s[t] * (config_.lqSize + config_.sqSize),
+            s[t] * config_.robSize,
+            s[t] * config_.irfSize,
+        };
+    }
 }
 
 void
@@ -266,28 +276,12 @@ SmtPipeline::accountRename(unsigned outcome, uint64_t cycles)
 bool
 SmtPipeline::isGated(int t) const
 {
-    if (!policy_.anyGating())
-        return false;
     const Thread &th = threads_[t];
-    const double s = shares_[t];
-    if (policy_.gateIq &&
-        th.iqUsed > s * config_.iqSize) {
-        return true;
-    }
-    if (policy_.gateLsq &&
-        th.lqUsed + th.sqUsed >
-            s * (config_.lqSize + config_.sqSize)) {
-        return true;
-    }
-    if (policy_.gateRob &&
-        th.rob.size() > s * config_.robSize) {
-        return true;
-    }
-    if (policy_.gateIrf &&
-        th.irfUsed > s * config_.irfSize) {
-        return true;
-    }
-    return false;
+    const GateLimits &lim = gateLimits_[t];
+    return (policy_.gateIq && th.iqUsed > lim.iq) ||
+        (policy_.gateLsq && th.lqUsed + th.sqUsed > lim.lsq) ||
+        (policy_.gateRob && th.rob.size() > lim.rob) ||
+        (policy_.gateIrf && th.irfUsed > lim.irf);
 }
 
 int

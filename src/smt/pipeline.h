@@ -86,7 +86,9 @@ struct RenameStats
  * and the rename counters unchanged, so all cycles up to the next
  * wake (calendar release, ROB-head completion, fetch redirect end)
  * are dead too and are accounted in one step. cycle() is the plain
- * one-cycle step; both produce identical state.
+ * one-cycle step; both produce identical state. Every stage of a
+ * cycle is compiled into run()'s loop; only chunk crossings and live
+ * generation in ThreadSource::next() stay out-of-line calls.
  */
 class SmtPipeline
 {
@@ -236,6 +238,16 @@ class SmtPipeline
         int branchesInRob = 0;
     };
 
+    /** A thread's gating thresholds under its share s: the products
+     *  s * size that isGated() compares occupancies against. */
+    struct GateLimits
+    {
+        double iq;
+        double lsq;
+        double rob;
+        double irf;
+    };
+
     /** Free entries of each shared structure during one rename. */
     struct Free
     {
@@ -264,9 +276,10 @@ class SmtPipeline
     static constexpr unsigned kLive = 1u << 7;
 
     /** One cycle; returns its rename outcome, plus kLive unless the
-     *  cycle was dead. */
-    unsigned step();
-    void runChunk(uint64_t n);
+     *  cycle was dead. Flattened: every stage inlines into it. */
+    [[gnu::flatten]] unsigned step();
+    /** run()'s loop, with step() and nextWake() inlined. */
+    [[gnu::flatten]] void runChunk(uint64_t n);
     uint64_t nextWake(uint64_t end) const;
     void accountRename(unsigned outcome, uint64_t cycles);
 
@@ -281,7 +294,7 @@ class SmtPipeline
     SmtConfig config_;
     std::array<ThreadSource *, SmtConfig::kThreads> sources_;
     std::array<Thread, SmtConfig::kThreads> threads_;
-    std::array<double, SmtConfig::kThreads> shares_{0.5, 0.5};
+    std::array<GateLimits, SmtConfig::kThreads> gateLimits_;
     PgPolicy policy_;
 
     /** Pending releases per cycle slot (kCalendarSize slots), four

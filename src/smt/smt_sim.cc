@@ -18,6 +18,7 @@ SmtSimulator::SmtSimulator(std::string app0, std::string app1,
     if (config.hcEpochCycles == 0)
         throw std::invalid_argument("SmtRunConfig: hcEpochCycles = 0");
     validateSmtConfig(pipe_config);
+    HillClimbing::validate({pipe_config.iqSize, config.hcDelta});
     // Per-lane seeds depend only on the run seed, not the mix, so one
     // materialized stream per (app, lane) serves every mix it appears
     // in (fig13 runs each app in ~21 mixes under 3 fetch regimes).

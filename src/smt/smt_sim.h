@@ -65,8 +65,9 @@ struct SmtRunResult
 class SmtSimulator
 {
   public:
-    /** @throws std::invalid_argument when config.hcEpochCycles is 0
-     *  or @p pipe_config fails validateSmtConfig(). */
+    /** @throws std::invalid_argument when config.hcEpochCycles is 0,
+     *  @p pipe_config fails validateSmtConfig(), or config.hcDelta
+     *  and pipe_config.iqSize fail HillClimbing::validate(). */
     SmtSimulator(std::string app0, std::string app1,
                  const SmtRunConfig &config = {},
                  const SmtConfig &pipe_config = {});

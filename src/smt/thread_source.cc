@@ -8,6 +8,19 @@
 
 namespace mab {
 
+UopGen::UopGen(const SmtAppParams &params, uint64_t seed)
+    : params_(params), seed_(seed), rng_(seed)
+{
+    if (params.l2Latency > kMaxLatency ||
+        params.dramLatency > kMaxLatency - 63) {
+        throw std::invalid_argument(
+            "SmtAppParams '" + params.name + "': l2Latency = " +
+            std::to_string(params.l2Latency) + " and dramLatency + 63 = " +
+            std::to_string(uint64_t{params.dramLatency} + 63) +
+            " must not exceed " + std::to_string(kMaxLatency));
+    }
+}
+
 Uop
 UopGen::next()
 {
@@ -19,10 +32,11 @@ UopGen::next()
         if (rng_.bernoulli(params_.l1MissRate)) {
             if (rng_.bernoulli(params_.dramRate)) {
                 // Spread DRAM latencies to model bank/queue variance.
-                uop.execLatency = params_.dramLatency +
-                    static_cast<uint32_t>(rng_.below(64));
+                uop.execLatency = static_cast<uint16_t>(
+                    params_.dramLatency + rng_.below(64));
             } else {
-                uop.execLatency = params_.l2Latency;
+                uop.execLatency =
+                    static_cast<uint16_t>(params_.l2Latency);
             }
         } else {
             uop.execLatency = 4;
@@ -30,10 +44,10 @@ UopGen::next()
     } else if (r < (acc += params_.storeFrac)) {
         uop.kind = UopKind::Store;
         uop.execLatency = 1;
-        uop.drainLatency =
+        uop.drainLatency = static_cast<uint16_t>(
             rng_.bernoulli(params_.storeDrainDramRate)
                 ? params_.dramLatency
-                : params_.l2Latency;
+                : params_.l2Latency);
     } else if (r < (acc += params_.branchFrac)) {
         uop.kind = UopKind::Branch;
         uop.execLatency = 1;
@@ -161,31 +175,29 @@ void
 ThreadSource::attachStream(std::shared_ptr<UopStream> stream)
 {
     stream_ = std::move(stream);
-    chunk_ = nullptr;
-    pos_ = 0;
+    cur_ = end_ = nullptr;
+    nextChunk_ = 0;
 }
 
 void
 ThreadSource::reset()
 {
     if (stream_) {
-        chunk_ = nullptr;
-        pos_ = 0;
+        cur_ = end_ = nullptr;
+        nextChunk_ = 0;
         return;
     }
     gen_.reset();
 }
 
 Uop
-ThreadSource::next()
+ThreadSource::nextSlow()
 {
     if (!stream_)
         return gen_.next();
-    const uint64_t off = pos_ & (UopStream::kChunkUops - 1);
-    if (off == 0 || chunk_ == nullptr)
-        chunk_ = stream_->chunk(pos_ / UopStream::kChunkUops);
-    ++pos_;
-    return chunk_[off];
+    cur_ = stream_->chunk(nextChunk_++);
+    end_ = cur_ + UopStream::kChunkUops;
+    return *cur_++;
 }
 
 namespace {

@@ -15,7 +15,7 @@
 namespace mab {
 
 /** Micro-op kinds modeled by the SMT pipeline. */
-enum class UopKind
+enum class UopKind : uint8_t
 {
     IntAlu,
     FpAlu,
@@ -24,16 +24,15 @@ enum class UopKind
     Branch,
 };
 
-/** One decoded micro-op of an SMT thread. */
+/**
+ * One decoded micro-op of an SMT thread, packed into 8 bytes. UopGen
+ * keeps every field in range: latencies are at most
+ * dramLatency + 63 <= 65535 (checked at construction) and dependency
+ * distances at most 63.
+ */
 struct Uop
 {
     UopKind kind = UopKind::IntAlu;
-
-    /** Execution latency after issue (loads: memory latency). */
-    uint32_t execLatency = 1;
-
-    /** Stores: cycles the SQ entry drains after commit. */
-    uint32_t drainLatency = 0;
 
     /** Mispredicted branch (pre-resolved by the generator). */
     bool mispredicted = false;
@@ -44,7 +43,15 @@ struct Uop
      * dependency). Short distances model low-ILP code.
      */
     uint16_t depDistance = 0;
+
+    /** Execution latency after issue (loads: memory latency). */
+    uint16_t execLatency = 1;
+
+    /** Stores: cycles the SQ entry drains after commit. */
+    uint16_t drainLatency = 0;
 };
+
+static_assert(sizeof(Uop) == 8, "Uop must stay 8 bytes");
 
 /**
  * Statistical profile of an SMT thread (the stand-in for a SimPointed
@@ -92,10 +99,12 @@ struct SmtAppParams
 class UopGen
 {
   public:
-    UopGen(const SmtAppParams &params, uint64_t seed)
-        : params_(params), seed_(seed), rng_(seed)
-    {
-    }
+    /** Largest latency a Uop field holds. */
+    static constexpr uint32_t kMaxLatency = 0xffff;
+
+    /** @throws std::invalid_argument when l2Latency or
+     *  dramLatency + 63 (the longest DRAM load) exceeds kMaxLatency. */
+    UopGen(const SmtAppParams &params, uint64_t seed);
 
     Uop next();
     void reset() { rng_.reseed(seed_); }
@@ -131,10 +140,11 @@ class UopGen
 class UopStream final : public ArenaItem
 {
   public:
-    /** Uops per chunk (power of two; ~256KB per chunk). */
+    /** Uops per chunk (power of two; 128 KiB per chunk). */
     static constexpr uint64_t kChunkUops = 1ull << 14;
 
-    /** Directory capacity: kMaxChunks * kChunkUops uops (~268M). */
+    /** Directory capacity: kMaxChunks * kChunkUops uops (~268M uops,
+     *  2 GiB). */
     static constexpr uint64_t kMaxChunks = 1ull << 14;
 
     UopStream(const SmtAppParams &params, uint64_t seed);
@@ -174,9 +184,19 @@ std::string smtParamsFingerprint(const SmtAppParams &params);
 class ThreadSource
 {
   public:
+    /** @throws std::invalid_argument via UopGen. */
     ThreadSource(const SmtAppParams &params, uint64_t seed);
 
-    Uop next();
+    /** The next uop. Replay within the current chunk is inline; chunk
+     *  crossings and live generation go through nextSlow(). */
+    Uop
+    next()
+    {
+        if (cur_ != end_)
+            return *cur_++;
+        return nextSlow();
+    }
+
     void reset();
 
     /**
@@ -193,12 +213,17 @@ class ThreadSource
     const std::string &name() const { return gen_.params().name; }
 
   private:
+    Uop nextSlow();
+
     UopGen gen_;
 
-    /** Replay state (unused in live mode). */
+    /** Replay state (unused in live mode, where cur_ == end_ always):
+     *  the unread rest [cur_, end_) of the current chunk and the index
+     *  of the chunk after it. */
     std::shared_ptr<UopStream> stream_;
-    const Uop *chunk_ = nullptr;
-    uint64_t pos_ = 0;
+    const Uop *cur_ = nullptr;
+    const Uop *end_ = nullptr;
+    uint64_t nextChunk_ = 0;
 };
 
 /** The 22 SPEC17-like SMT app profiles of Section 6.2. */

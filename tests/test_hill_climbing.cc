@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "smt/hill_climbing.h"
 
 namespace mab {
@@ -117,6 +119,29 @@ TEST(HillClimbing, ResetReturnsToSplit)
         hc.endEpoch(hc.currentEntries());
     hc.reset();
     EXPECT_EQ(hc.baseEntries(), 48);
+}
+
+TEST(HillClimbing, RejectsEmptyTrialRange)
+{
+    // The trial range [delta, iqSize - delta] must not be empty.
+    EXPECT_THROW(HillClimbing(cfg(3, 2)), std::invalid_argument);
+    EXPECT_THROW(HillClimbing(cfg(1, 1)), std::invalid_argument);
+    EXPECT_THROW(HillClimbing(cfg(96, 0)), std::invalid_argument);
+    EXPECT_THROW(HillClimbing(cfg(96, -2)), std::invalid_argument);
+}
+
+TEST(HillClimbing, SinglePointTrialRangeStaysPut)
+{
+    // iqSize == 2 * delta: every candidate clamps to delta.
+    HillClimbing hc(cfg(4, 2));
+    for (int i = 0; i < 30; ++i) {
+        EXPECT_EQ(hc.currentEntries(), 2);
+        EXPECT_DOUBLE_EQ(hc.share(0), 0.5);
+        hc.endEpoch(i % 3);
+    }
+    EXPECT_EQ(hc.baseEntries(), 2);
+    hc.restore({90, true});
+    EXPECT_EQ(hc.baseEntries(), 2);
 }
 
 } // namespace

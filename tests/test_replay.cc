@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -314,14 +315,12 @@ TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
     TraceArena::global().setEnabled(true);
 }
 
-/** SMT leg: a ThreadSource replaying a shared UopStream must emit
- *  exactly the uops of a live ThreadSource, across chunk borders. */
-TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
+/** Replay @p n uops of (@p params, @p seed) from the shared stream
+ *  next to a live source; every field must match. */
+void
+expectReplayMatchesLive(const SmtAppParams &params, uint64_t seed,
+                        uint64_t n)
 {
-    const SmtAppParams &params = smtAppCatalog().front();
-    const uint64_t seed = 12345;
-    const uint64_t n = UopStream::kChunkUops + 2000;
-
     ThreadSource live(params, seed);
     ThreadSource replay(params, seed);
     replay.attachStream(acquireUopStream(params, seed));
@@ -338,15 +337,66 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
         ASSERT_EQ(a.mispredicted, b.mispredicted) << "uop " << i;
         ASSERT_EQ(a.depDistance, b.depDistance) << "uop " << i;
     }
+}
+
+/** SMT leg: a ThreadSource replaying a shared UopStream must emit
+ *  exactly the uops of a live ThreadSource, across chunk borders. */
+TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
+{
+    const SmtAppParams &params = smtAppCatalog().front();
+    const uint64_t seed = 12345;
+    expectReplayMatchesLive(params, seed, UopStream::kChunkUops + 2000);
 
     // Same (params, seed) acquires the same shared stream; and reset
     // rewinds the replay to uop 0.
     EXPECT_EQ(acquireUopStream(params, seed).get(),
               acquireUopStream(params, seed).get());
+    ThreadSource replay(params, seed);
+    replay.attachStream(acquireUopStream(params, seed));
+    for (uint64_t i = 0; i < UopStream::kChunkUops + 2000; ++i)
+        replay.next();
     replay.reset();
     ThreadSource fresh(params, seed);
     const Uop a = fresh.next();
     const Uop b = replay.next();
     EXPECT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
     EXPECT_EQ(a.execLatency, b.execLatency);
+}
+
+/** The largest latencies a Uop holds survive generation and replay
+ *  unchanged: dramLatency = 65472 puts DRAM loads at 65472..65535. */
+TEST_F(ReplayTest, UopStreamReplayKeepsLargestLatencies)
+{
+    SmtAppParams params = smtAppByName("lbm");
+    params.l1MissRate = 0.5;
+    params.dramRate = 0.9;
+    params.l2Latency = 65535;
+    params.dramLatency = 65472;
+    const uint64_t seed = 77;
+    const uint64_t n = UopStream::kChunkUops + 2000;
+    expectReplayMatchesLive(params, seed, n);
+
+    ThreadSource replay(params, seed);
+    replay.attachStream(acquireUopStream(params, seed));
+    uint64_t dram_loads = 0, slow_drains = 0;
+    uint16_t max_exec = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+        const Uop u = replay.next();
+        if (u.kind == UopKind::Load) {
+            ASSERT_TRUE(u.execLatency == 4 ||
+                        u.execLatency == params.l2Latency ||
+                        u.execLatency >= params.dramLatency)
+                << "uop " << i << " execLatency " << u.execLatency;
+            dram_loads += u.execLatency >= params.dramLatency;
+            max_exec = std::max(max_exec, u.execLatency);
+        } else if (u.kind == UopKind::Store) {
+            ASSERT_TRUE(u.drainLatency == params.l2Latency ||
+                        u.drainLatency == params.dramLatency)
+                << "uop " << i << " drainLatency " << u.drainLatency;
+            slow_drains += u.drainLatency == params.dramLatency;
+        }
+    }
+    EXPECT_GT(dram_loads, 100u);
+    EXPECT_GT(slow_drains, 100u);
+    EXPECT_EQ(max_exec, params.dramLatency + 63);
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "sim/fuzz.h"
 #include "sim/rng.h"
 #include "smt/hill_climbing.h"
 #include "smt/pipeline.h"
@@ -362,6 +363,45 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("IC_0000", "IC_1011", "LSQC_0110",
                           "RR_1101"),
         ::testing::Values(0.5, 0.3)));
+
+/**
+ * isGated() reads gate limits cached by setShares(). At every chunk
+ * boundary it must equal the gate's definition over the public
+ * occupancy accessors, for all 64 PG policies under a random share
+ * schedule (extremes included).
+ */
+TEST(SmtPipeline, GatingMatchesDefinitionForEveryPolicy)
+{
+    const SmtConfig cfg;
+    Rng rng(0x6A7E);
+    uint64_t gated_checks = 0;
+    for (const PgPolicy &policy : allPgPolicies()) {
+        SCOPED_TRACE(policy.name());
+        Rig rig(memoryHogApp(), computeApp(), cfg);
+        rig.pipe.setPolicy(policy);
+        std::array<double, SmtConfig::kThreads> shares{0.5, 0.5};
+        while (rig.pipe.cycles() < 20'000) {
+            if (rng.bernoulli(0.3)) {
+                const double s = rng.bernoulli(0.1)
+                    ? static_cast<double>(rng.below(3)) / 2.0
+                    : rng.uniform();
+                shares = {s, 1.0 - s};
+                rig.pipe.setShares(shares);
+            }
+            rig.pipe.run(1 + rng.below(500));
+            for (int t = 0; t < SmtConfig::kThreads; ++t) {
+                const bool want = fuzz::smtGatedByDefinition(
+                    rig.pipe, cfg, policy, shares[t], t);
+                ASSERT_EQ(rig.pipe.isGated(t), want)
+                    << "thread " << t << " at cycle "
+                    << rig.pipe.cycles();
+                gated_checks += want;
+            }
+        }
+    }
+    // The schedule must actually drive threads over their limits.
+    EXPECT_GT(gated_checks, 1000u);
+}
 
 /** A fetch-starved mix: long mispredict redirects and DRAM stalls,
  *  so most cycles are dead and every wake source fires. */

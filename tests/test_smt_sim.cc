@@ -70,6 +70,23 @@ TEST(ThreadSource, MixMatchesParams)
     EXPECT_NEAR(static_cast<double>(branches) / n, p.branchFrac, 0.01);
 }
 
+TEST(ThreadSource, RejectsLatenciesBeyondUopFields)
+{
+    // Uop latencies are 16-bit: l2Latency and dramLatency + 63 (the
+    // longest DRAM load) must fit.
+    SmtAppParams p = smtAppByName("gcc");
+    p.l2Latency = 65536;
+    EXPECT_THROW(UopGen(p, 1), std::invalid_argument);
+    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
+    p = smtAppByName("gcc");
+    p.dramLatency = 65473;
+    EXPECT_THROW(UopGen(p, 1), std::invalid_argument);
+    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
+    p.dramLatency = 65472;
+    p.l2Latency = 65535;
+    EXPECT_NO_THROW(ThreadSource(p, 1));
+}
+
 TEST(SmtSim, StaticRunProducesBothIpcs)
 {
     SmtSimulator sim("gcc", "namd", quick());
@@ -151,6 +168,22 @@ TEST(SmtSim, RejectsZeroEpochAndBadPipelineConfig)
     pipe.iqSize = SmtConfig::kMaxSize + 1;
     EXPECT_THROW(SmtSimulator("gcc", "namd", quick(), pipe),
                  std::invalid_argument);
+    // Hill Climbing needs iqSize >= 2 * hcDelta (and hcDelta >= 1).
+    pipe = SmtConfig{};
+    pipe.iqSize = 3;
+    EXPECT_THROW(SmtSimulator("gcc", "namd", quick(), pipe),
+                 std::invalid_argument);
+    SmtRunConfig no_delta = quick();
+    no_delta.hcDelta = 0;
+    EXPECT_THROW(SmtSimulator("gcc", "namd", no_delta),
+                 std::invalid_argument);
+    pipe.iqSize = 4;
+    SmtRunConfig tiny = quick();
+    tiny.maxCycles = 20'000;
+    SmtSimulator smallest("gcc", "namd", tiny, pipe);
+    EXPECT_EQ(smallest.runStatic(choiPolicy()).cycles, 20'000u);
+    EXPECT_EQ(smallest.runBandit().cycles, 20'000u);
+
     cfg.hcEpochCycles = 1;
     cfg.maxCycles = 100;
     EXPECT_EQ(SmtSimulator("gcc", "namd", cfg).runStatic(choiPolicy())
