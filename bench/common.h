@@ -16,11 +16,11 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,32 +36,12 @@
 #include "prefetch/stride.h"
 #include "sim/json.h"
 #include "sim/parallel.h"
-#include "sim/shard.h"
 #include "sim/stats.h"
 #include "sim/tracing.h"
 #include "trace/replay.h"
 #include "trace/suites.h"
 
 namespace mab::bench {
-
-/** Global run-length multiplier (MAB_BENCH_SCALE, default 1.0). */
-inline double
-benchScale()
-{
-    if (const char *env = std::getenv("MAB_BENCH_SCALE")) {
-        const double f = std::atof(env);
-        if (f > 0.0)
-            return f;
-    }
-    return 1.0;
-}
-
-/** Scale an instruction/cycle budget by the global multiplier. */
-inline uint64_t
-scaled(uint64_t n)
-{
-    return static_cast<uint64_t>(static_cast<double>(n) * benchScale());
-}
 
 /**
  * Testable core of argValue(): scan for @p flag and write the token
@@ -119,6 +99,72 @@ parseUint64(const char *text, uint64_t *out)
     return true;
 }
 
+/** Exiting half of every resolve*() core: print @p err and exit 2. */
+inline void
+exitOnUsageError(const std::string &err)
+{
+    if (err.empty())
+        return;
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+}
+
+/**
+ * Testable core of benchScale(): the run-length multiplier in @p env
+ * (MAB_BENCH_SCALE), 1.0 when unset. Anything but a whole-token finite
+ * number above 0 is a usage error: a typo such as `abc` must not run
+ * silently at full scale (100x the smoke budget), and `inf` has no
+ * budget to scale to.
+ */
+inline std::string
+resolveScale(const char *env, double *out)
+{
+    *out = 1.0;
+    if (!env)
+        return "";
+    char *end = nullptr;
+    errno = 0;
+    const double f = std::strtod(env, &end);
+    if (end == env || *end != '\0' || errno != 0 || !std::isfinite(f) ||
+        f <= 0.0)
+        return std::string("usage error: MAB_BENCH_SCALE needs a "
+                           "finite number above 0, got '") +
+            env + "'";
+    *out = f;
+    return "";
+}
+
+/** Global run-length multiplier (MAB_BENCH_SCALE, default 1.0); an
+ *  invalid value exits 2. */
+inline double
+benchScale()
+{
+    double f = 1.0;
+    exitOnUsageError(resolveScale(std::getenv("MAB_BENCH_SCALE"), &f));
+    return f;
+}
+
+/** @p n * @p factor truncated to a budget: 0 for a non-positive or
+ *  NaN product, saturating at UINT64_MAX (a double at or above 2^64
+ *  has no uint64_t value, and converting one is undefined). */
+inline uint64_t
+scaleBudget(uint64_t n, double factor)
+{
+    const double v = static_cast<double>(n) * factor;
+    if (!(v > 0.0))
+        return 0;
+    if (v >= 0x1p64)
+        return UINT64_MAX;
+    return static_cast<uint64_t>(v);
+}
+
+/** Scale an instruction/cycle budget by the global multiplier. */
+inline uint64_t
+scaled(uint64_t n)
+{
+    return scaleBudget(n, benchScale());
+}
+
 /**
  * Value following @p flag on the command line, else nullptr. A flag
  * with no value to return or given more than once is a usage error
@@ -130,11 +176,7 @@ inline const char *
 argValue(int argc, char **argv, const char *flag)
 {
     const char *value = nullptr;
-    const std::string err = findFlagValue(argc, argv, flag, &value);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
+    exitOnUsageError(findFlagValue(argc, argv, flag, &value));
     return value;
 }
 
@@ -202,12 +244,8 @@ inline int
 benchJobs(int argc, char **argv)
 {
     int jobs = 1;
-    const std::string err = resolveJobs(
-        argc, argv, std::getenv("MAB_BENCH_JOBS"), &jobs);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
+    exitOnUsageError(
+        resolveJobs(argc, argv, std::getenv("MAB_BENCH_JOBS"), &jobs));
     if (jobs > 1 && tracing::Tracer::global().enabled()) {
         std::printf(
             "tracing/audit sink open: serializing sweep (jobs 1)\n");
@@ -237,79 +275,6 @@ sweepMap(int jobs, size_t n, Fn &&fn)
 }
 
 /**
- * Lossless JSON transport of one sweep result type, for shard
- * partials. Integers ride as native JSON integers (the writer emits
- * them exactly); doubles must go through encodeDouble/decodeDouble —
- * the bit pattern as a hex string — because the JSON writer rounds
- * non-finite doubles to null, and the merge must hand the aggregation
- * code the *identical* value the worker computed.
- */
-template <typename T>
-struct ShardCodec
-{
-    std::function<json::Value(const T &)> encode;
-    std::function<T(const json::Value &)> decode;
-};
-
-/** Codec for plain-double sweeps (most ablation grids). */
-inline ShardCodec<double>
-doubleCodec()
-{
-    return {[](const double &d) {
-                return json::Value(encodeDouble(d));
-            },
-            [](const json::Value &v) {
-                return decodeDouble(v.asString());
-            }};
-}
-
-/**
- * Shard-aware sweepMap: the one call a sharded bench binary routes
- * each independent sweep through.
- *
- *  - Off: exactly sweepMap (the unsharded path).
- *  - Worker: runs only the cells this shard owns (i % N == K) through
- *    sweepMap, records the encoded results for the partial report,
- *    and returns a grid-sized vector with the unowned slots
- *    default-constructed — the worker's own aggregation output is
- *    garbage by design; the driver discards worker stdout and only
- *    the partial leaves the process (shardPartialDone()).
- *  - Merge: runs nothing and returns every cell decoded from the
- *    loaded partials, so aggregation and printing downstream see
- *    exactly what an unsharded run would have computed.
- */
-template <typename T, typename Fn>
-std::vector<T>
-shardedSweep(int jobs, size_t n, const ShardCodec<T> &codec, Fn &&fn)
-{
-    ShardSession &sh = ShardSession::global();
-    if (sh.mode() == ShardSession::Mode::Merge) {
-        std::vector<json::Value> vals = sh.takeSweep(n);
-        std::vector<T> out;
-        out.reserve(n);
-        for (const json::Value &v : vals)
-            out.push_back(codec.decode(v));
-        return out;
-    }
-    if (sh.mode() == ShardSession::Mode::Worker) {
-        const std::vector<size_t> owned = sh.ownedIndices(n);
-        std::vector<T> sub = sweepMap<T>(
-            jobs, owned.size(),
-            [&](size_t k) { return fn(owned[k]); });
-        std::vector<json::Value> vals;
-        vals.reserve(sub.size());
-        for (const T &r : sub)
-            vals.push_back(codec.encode(r));
-        sh.recordSweep(n, owned, std::move(vals));
-        std::vector<T> out(n);
-        for (size_t k = 0; k < owned.size(); ++k)
-            out[owned[k]] = std::move(sub[k]);
-        return out;
-    }
-    return sweepMap<T>(jobs, n, std::forward<Fn>(fn));
-}
-
-/**
  * Structured-output destination: `--json <path>` on the command line,
  * else the MAB_BENCH_JSON environment variable, else none. Every
  * bench binary keeps printing its human-readable table; the JSON file
@@ -322,170 +287,6 @@ jsonOutPath(int argc, char **argv)
     if (const char *path = argValue(argc, argv, "--json"))
         return path;
     return std::getenv("MAB_BENCH_JSON");
-}
-
-/** The binary's basename — the bench identity stamped into shard
- *  partials so merging fig9 partials into fig8 fails loudly. */
-inline std::string
-benchName(const char *argv0)
-{
-    const std::string s = argv0 ? argv0 : "";
-    const size_t slash = s.find_last_of('/');
-    return slash == std::string::npos ? s : s.substr(slash + 1);
-}
-
-/**
- * Testable core of benchShards(): resolve `--shards N` / `--shard-id
- * K` (env fallbacks MAB_BENCH_SHARDS / MAB_BENCH_SHARD_ID — flags
- * win, so a CI matrix can export the count and pass per-job ids).
- * Same strict validation as resolveJobs: a duplicate, non-numeric,
- * non-positive shard count, a negative shard id, an id without a
- * count, or an id >= the count is a usage error — reported here,
- * exit 2 in benchShards().
- */
-inline std::string
-resolveShards(int argc, char **argv, const char *envShards,
-              const char *envId, ShardSpec *out)
-{
-    *out = ShardSpec{};
-    const char *vs = nullptr;
-    const char *vi = nullptr;
-    std::string err = findFlagValue(argc, argv, "--shards", &vs);
-    if (!err.empty())
-        return err;
-    err = findFlagValue(argc, argv, "--shard-id", &vi);
-    if (!err.empty())
-        return err;
-    if (!vs)
-        vs = envShards;
-    if (!vi)
-        vi = envId;
-    if (vs) {
-        int64_t n = 0;
-        if (!parseInt64(vs, &n) || n < 1)
-            return std::string("usage error: --shards needs a "
-                               "positive integer, got '") +
-                vs + "'";
-        out->shards = static_cast<int>(std::min<int64_t>(n, 1 << 12));
-    }
-    if (vi) {
-        if (!vs)
-            return "usage error: --shard-id needs --shards (or "
-                   "MAB_BENCH_SHARDS)";
-        int64_t k = 0;
-        if (!parseInt64(vi, &k) || k < 0)
-            return std::string("usage error: --shard-id needs a "
-                               "non-negative integer, got '") +
-                vi + "'";
-        if (k >= out->shards)
-            return "usage error: --shard-id " + std::to_string(k) +
-                " must be below --shards " +
-                std::to_string(out->shards);
-        out->shardId = static_cast<int>(k);
-    }
-    return "";
-}
-
-/**
- * Configure the process's shard role; call after benchJobs
- * (the spawn below must happen before any SweepRunner thread exists —
- * forking a multithreaded process is where the dragons live).
- *
- *  - no shard flags: Off, nothing happens.
- *  - `--shards N --shard-id K`: worker K of N. Requires --json (the
- *    partial report is the worker's entire product).
- *  - `--shards N` alone: driver — spawn N workers of this very
- *    binary over a shared trace-arena directory, merge their
- *    partials, and continue main() in merge mode, so the process's
- *    output is byte-identical to an unsharded run (modulo meta).
- *  - `--merge-reports a.json,b.json,...`: merge independently-run
- *    workers' partials (CI matrix mode), same continuation.
- *
- * Like --jobs, sharding is clamped off when a tracing/audit
- * sink is open: N traced processes would write N timelines.
- */
-inline void
-benchShards(int argc, char **argv)
-{
-    const char *mergeList = argValue(argc, argv, "--merge-reports");
-    ShardSpec spec;
-    const std::string err = resolveShards(
-        argc, argv, std::getenv("MAB_BENCH_SHARDS"),
-        std::getenv("MAB_BENCH_SHARD_ID"), &spec);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
-    const std::string bench = benchName(argv[0]);
-    const std::string scaleHex = encodeDouble(benchScale());
-    ShardSession &sh = ShardSession::global();
-
-    if (mergeList) {
-        if (spec.shards > 1 || spec.shardId >= 0) {
-            std::fprintf(stderr, "usage error: --merge-reports "
-                                 "conflicts with --shards/--shard-id\n");
-            std::exit(2);
-        }
-        std::vector<std::string> paths;
-        const std::string list = mergeList;
-        for (size_t at = 0; at <= list.size();) {
-            const size_t comma = std::min(list.find(',', at),
-                                          list.size());
-            if (comma > at)
-                paths.push_back(list.substr(at, comma - at));
-            at = comma + 1;
-        }
-        std::string lerr;
-        if (paths.empty() ||
-            !sh.loadPartials(paths, bench, scaleHex, &lerr)) {
-            std::fprintf(stderr, "%s\n",
-                         paths.empty()
-                             ? "usage error: --merge-reports needs a "
-                               "comma-separated list of partials"
-                             : lerr.c_str());
-            std::exit(paths.empty() ? 2 : 1);
-        }
-        return;
-    }
-
-    if (spec.shardId >= 0) {
-        if (!jsonOutPath(argc, argv)) {
-            std::fprintf(stderr,
-                         "usage error: a shard worker (--shard-id) "
-                         "needs --json <path> for its partial "
-                         "report\n");
-            std::exit(2);
-        }
-        sh.configureWorker(spec.shards, spec.shardId, bench,
-                           scaleHex);
-        return;
-    }
-    if (spec.shards <= 1)
-        return;
-    if (tracing::Tracer::global().enabled()) {
-        std::printf(
-            "tracing/audit sink open: disabling sweep sharding "
-            "(shards 1)\n");
-        return;
-    }
-
-    std::vector<std::string> parts;
-    std::string tmp;
-    const std::string serr = spawnShardWorkers(
-        argc, argv, spec.shards, TraceArena::global().enabled(),
-        &parts, &tmp);
-    if (!serr.empty()) {
-        std::fprintf(stderr, "%s\n", serr.c_str());
-        std::exit(1);
-    }
-    std::string lerr;
-    const bool ok = sh.loadPartials(parts, bench, scaleHex, &lerr);
-    std::error_code ec;
-    std::filesystem::remove_all(tmp, ec);
-    if (!ok) {
-        std::fprintf(stderr, "%s\n", lerr.c_str());
-        std::exit(1);
-    }
 }
 
 /**
@@ -591,16 +392,39 @@ runMetaJson(int argc, char **argv)
     ar["fileRejects"] = arena.fileRejects;
     meta["traceArena"] = std::move(ar);
 
-    const ShardSession &sh = ShardSession::global();
-    json::Value shd = json::Value::object();
-    shd["shards"] =
-        sh.mode() == ShardSession::Mode::Off ? 1 : sh.shards();
-    shd["shardId"] = sh.shardId();
-    shd["mode"] = sh.mode() == ShardSession::Mode::Off ? "off"
-        : sh.mode() == ShardSession::Mode::Worker     ? "worker"
-                                                      : "merged";
-    meta["shard"] = std::move(shd);
     return meta;
+}
+
+/**
+ * Testable core of the TracingSession's sampler period:
+ * `--trace-granularity <cycles>`, else MAB_TRACE_GRANULARITY, else 0
+ * (keep the tracer's default). The value must be a whole number of
+ * cycles above 0: `abc` must not be silently ignored, and `-5` must
+ * not wrap to ~1.8e19 cycles, a sampler that never fires.
+ */
+inline std::string
+resolveTraceGranularity(int argc, char **argv, const char *env,
+                        uint64_t *out)
+{
+    *out = 0;
+    const char *v = nullptr;
+    const std::string err =
+        findFlagValue(argc, argv, "--trace-granularity", &v);
+    if (!err.empty())
+        return err;
+    const char *source = "--trace-granularity";
+    if (!v) {
+        v = env;
+        source = "MAB_TRACE_GRANULARITY";
+    }
+    if (!v)
+        return "";
+    uint64_t cycles = 0;
+    if (!parseUint64(v, &cycles) || cycles == 0)
+        return std::string("usage error: ") + source +
+            " needs a positive number of cycles, got '" + v + "'";
+    *out = cycles;
+    return "";
 }
 
 /**
@@ -638,13 +462,12 @@ class TracingSession
 
         tracing::Tracer &tracer = tracing::Tracer::global();
 
-        const char *granularity =
-            argValue(argc, argv, "--trace-granularity");
-        if (!granularity)
-            granularity = std::getenv("MAB_TRACE_GRANULARITY");
-        if (granularity)
-            tracer.setGranularity(
-                std::strtoull(granularity, nullptr, 10));
+        uint64_t granularity = 0;
+        exitOnUsageError(resolveTraceGranularity(
+            argc, argv, std::getenv("MAB_TRACE_GRANULARITY"),
+            &granularity));
+        if (granularity != 0)
+            tracer.setGranularity(granularity);
 
         const char *trace_path = argValue(argc, argv, "--trace");
         if (!trace_path)
@@ -714,34 +537,6 @@ writeJsonReport(const json::Value &root, int argc, char **argv)
         return false;
     }
     std::printf("json report written to %s\n", path);
-    return true;
-}
-
-/**
- * Worker-mode epilogue: call right after the binary's last sweep. In
- * worker mode it writes the partial report to the --json path (the
- * meta block rides along for provenance) and returns true — the
- * binary returns immediately, skipping aggregation and printing,
- * whose inputs are the full grid this worker never ran. Off/merge
- * modes return false and the binary proceeds normally.
- */
-inline bool
-shardPartialDone(int argc, char **argv)
-{
-    ShardSession &sh = ShardSession::global();
-    if (sh.mode() != ShardSession::Mode::Worker)
-        return false;
-    const char *path = jsonOutPath(argc, argv);
-    std::string err;
-    if (!path ||
-        !sh.writePartial(path, runMetaJson(argc, argv), &err)) {
-        std::fprintf(stderr, "%s\n",
-                     path ? err.c_str()
-                          : "shard worker lost its --json path");
-        std::exit(1);
-    }
-    std::printf("shard partial %d/%d written to %s\n", sh.shardId(),
-                sh.shards(), path);
     return true;
 }
 
@@ -914,51 +709,17 @@ runPfTask(const PfTask &t)
     return runPrefetch(t.app, *pf, t.instr, t.hier, t.dram, t.seed);
 }
 
-/** Lossless shard transport of a PfRun (doubles as bit patterns,
- *  counters as native JSON integers). */
-inline ShardCodec<PfRun>
-pfRunCodec()
-{
-    return {[](const PfRun &r) {
-                json::Value v = json::Value::object();
-                v["ipc"] = encodeDouble(r.ipc);
-                v["issued"] = r.pf.issued;
-                v["timely"] = r.pf.timely;
-                v["late"] = r.pf.late;
-                v["wrong"] = r.pf.wrong;
-                v["dropped"] = r.pf.dropped;
-                v["llcDemandMisses"] = r.llcDemandMisses;
-                v["l2DemandAccesses"] = r.l2DemandAccesses;
-                v["instructions"] = r.instructions;
-                return v;
-            },
-            [](const json::Value &v) {
-                PfRun r;
-                r.ipc = decodeDouble(v.find("ipc")->asString());
-                r.pf.issued = v.find("issued")->asUint();
-                r.pf.timely = v.find("timely")->asUint();
-                r.pf.late = v.find("late")->asUint();
-                r.pf.wrong = v.find("wrong")->asUint();
-                r.pf.dropped = v.find("dropped")->asUint();
-                r.llcDemandMisses = v.find("llcDemandMisses")->asUint();
-                r.l2DemandAccesses =
-                    v.find("l2DemandAccesses")->asUint();
-                r.instructions = v.find("instructions")->asUint();
-                return r;
-            }};
-}
-
 /**
- * Run a prefetching sweep on @p jobs lanes through shardedSweep:
- * results come back indexed exactly like the task grid, byte-identical
- * at every jobs and shard count.
+ * Run a prefetching sweep on @p jobs lanes through sweepMap: results
+ * come back indexed exactly like the task grid, byte-identical at
+ * every job count.
  */
 inline std::vector<PfRun>
 sweepPrefetchRuns(int jobs, const std::vector<PfTask> &tasks)
 {
-    return shardedSweep<PfRun>(
-        jobs, tasks.size(), pfRunCodec(),
-        [&](size_t i) { return runPfTask(tasks[i]); });
+    return sweepMap<PfRun>(jobs, tasks.size(), [&](size_t i) {
+        return runPfTask(tasks[i]);
+    });
 }
 
 /** Print a horizontal rule sized to @p width. */

@@ -1,6 +1,6 @@
 #include "core/mab_policy.h"
 
-#include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace mab {
@@ -71,7 +71,15 @@ MabPolicy::selectArm()
 void
 MabPolicy::observeReward(double r_step)
 {
-    assert(currentArm_ != kNoArm && "observeReward before selectArm");
+    // Checked in every build, NDEBUG included, before any state
+    // changes. A NaN would pass the rAvg_ guard in
+    // finishInitialRoundRobin() (every NaN comparison is false) and
+    // turn every score into NaN, pinning greedyArm() to arm 0.
+    if (currentArm_ == kNoArm)
+        throw std::logic_error("MabPolicy: observeReward before "
+                               "selectArm");
+    if (!std::isfinite(r_step))
+        throw std::invalid_argument("MabPolicy: non-finite reward");
     ++steps_;
 
     if (!initialRrDone_) {

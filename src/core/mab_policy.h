@@ -82,7 +82,12 @@ class MabPolicy
     /** Pick the arm for the next bandit step. */
     virtual ArmId selectArm();
 
-    /** Deliver the reward observed at the end of the bandit step. */
+    /**
+     * Deliver the reward observed at the end of the bandit step.
+     * @throws std::logic_error before the first selectArm().
+     * @throws std::invalid_argument when @p r_step is NaN or infinite;
+     *         the policy state is left unchanged.
+     */
     virtual void observeReward(double r_step);
 
     /** Human-readable algorithm name ("DUCB", "UCB", ...). */

@@ -1,18 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common.h"
 
 /**
- * Bench arg-parsing edge cases (ISSUE 4 satellite, extending the PR 3
- * `argValue` flag-needs-value fix): duplicate flags, negative or
- * non-numeric `--jobs`, and flags with missing values must produce
- * usage errors instead of being silently clamped or atoi'd to 0. The
- * tests target the non-exiting cores (findFlagValue / parseInt64 /
- * parseUint64 / resolveJobs); the argValue / benchJobs wrappers print
- * the same message and exit 2.
+ * Bench arg-parsing edge cases: duplicate flags, negative or
+ * non-numeric `--jobs`, bad `--trace-granularity` / MAB_BENCH_SCALE
+ * values, and flags with missing values must produce usage errors
+ * instead of being silently clamped, wrapped or atoi'd to 0. The tests
+ * target the non-exiting cores (findFlagValue / parseInt64 /
+ * parseUint64 / resolveJobs / resolveTraceGranularity /
+ * resolveScale); the exiting wrappers print the same message and exit
+ * 2.
  */
 
 namespace mab::bench {
@@ -179,111 +181,108 @@ TEST(ResolveJobs, DuplicateFlagIsAUsageError)
     EXPECT_NE(err.find("duplicate --jobs"), std::string::npos) << err;
 }
 
-TEST(ResolveShards, DefaultsToOff)
+TEST(ResolveTraceGranularity, DefaultsToTheTracerDefault)
 {
     Args args({});
-    ShardSpec spec;
-    EXPECT_EQ(resolveShards(args.argc(), args.argv(), nullptr,
-                            nullptr, &spec),
+    uint64_t cycles = 7;
+    EXPECT_EQ(resolveTraceGranularity(args.argc(), args.argv(), nullptr,
+                                      &cycles),
               "");
-    EXPECT_EQ(spec.shards, 1);
-    EXPECT_EQ(spec.shardId, -1) << "no worker role by default";
+    EXPECT_EQ(cycles, 0u) << "0 = keep the tracer's default period";
 }
 
-TEST(ResolveShards, FlagsSelectCountAndId)
+TEST(ResolveTraceGranularity, FlagOutranksEnvironment)
 {
-    Args args({"--shards", "4", "--shard-id", "2"});
-    ShardSpec spec;
-    EXPECT_EQ(resolveShards(args.argc(), args.argv(), nullptr,
-                            nullptr, &spec),
+    Args args({"--trace-granularity", "2500"});
+    uint64_t cycles = 0;
+    EXPECT_EQ(resolveTraceGranularity(args.argc(), args.argv(), "100",
+                                      &cycles),
               "");
-    EXPECT_EQ(spec.shards, 4);
-    EXPECT_EQ(spec.shardId, 2);
+    EXPECT_EQ(cycles, 2500u);
+
+    Args noflag({});
+    EXPECT_EQ(resolveTraceGranularity(noflag.argc(), noflag.argv(),
+                                      "100", &cycles),
+              "");
+    EXPECT_EQ(cycles, 100u);
 }
 
-TEST(ResolveShards, FlagOutranksEnvironment)
+TEST(ResolveTraceGranularity, NonPositiveOrNonNumericIsAUsageError)
 {
-    Args args({"--shards", "3"});
-    ShardSpec spec;
-    EXPECT_EQ(
-        resolveShards(args.argc(), args.argv(), "8", "1", &spec), "");
-    EXPECT_EQ(spec.shards, 3) << "the flag outranks the environment";
-    EXPECT_EQ(spec.shardId, 1)
-        << "each knob falls back to the environment independently";
+    // A bare strtoull turns "abc" into 0 (silently ignored) and wraps
+    // "-5" to ~1.8e19 cycles, a sampler that never fires.
+    for (const char *bad : {"abc", "-5", "0", "", "10k", "1.5", "+3"}) {
+        Args args({"--trace-granularity", bad});
+        uint64_t cycles = 7;
+        const std::string err = resolveTraceGranularity(
+            args.argc(), args.argv(), nullptr, &cycles);
+        EXPECT_NE(err.find("usage error"), std::string::npos)
+            << "--trace-granularity '" << bad << "': " << err;
+        EXPECT_EQ(cycles, 0u) << bad;
 
-    // The env id is validated against the effective (flag) count.
-    ShardSpec bad;
-    const std::string err =
-        resolveShards(args.argc(), args.argv(), "8", "5", &bad);
-    EXPECT_NE(err.find("must be below"), std::string::npos) << err;
+        Args noflag({});
+        EXPECT_NE(resolveTraceGranularity(noflag.argc(), noflag.argv(),
+                                          bad, &cycles)
+                      .find("usage error"),
+                  std::string::npos)
+            << "MAB_TRACE_GRANULARITY='" << bad << "'";
+    }
 }
 
-TEST(ResolveShards, EnvironmentAloneConfiguresAWorker)
+TEST(ResolveTraceGranularity, DuplicateFlagIsAUsageError)
 {
-    Args args({});
-    ShardSpec spec;
-    EXPECT_EQ(
-        resolveShards(args.argc(), args.argv(), "4", "0", &spec), "");
-    EXPECT_EQ(spec.shards, 4);
-    EXPECT_EQ(spec.shardId, 0);
-}
-
-TEST(ResolveShards, DuplicateFlagIsAUsageError)
-{
-    Args args({"--shards", "2", "--shards", "4"});
-    ShardSpec spec;
-    const std::string err = resolveShards(args.argc(), args.argv(),
-                                          nullptr, nullptr, &spec);
-    EXPECT_NE(err.find("duplicate --shards"), std::string::npos)
+    Args args({"--trace-granularity", "10", "--trace-granularity", "20"});
+    uint64_t cycles = 0;
+    const std::string err = resolveTraceGranularity(
+        args.argc(), args.argv(), nullptr, &cycles);
+    EXPECT_NE(err.find("duplicate --trace-granularity"),
+              std::string::npos)
         << err;
 }
 
-TEST(ResolveShards, NonPositiveCountIsAUsageError)
+TEST(ResolveScale, UnsetIsFullScale)
 {
-    for (const char *bad : {"0", "-2", "many", "2.5", ""}) {
-        Args args({"--shards", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
+    double f = 0.0;
+    EXPECT_EQ(resolveScale(nullptr, &f), "");
+    EXPECT_EQ(f, 1.0);
+}
+
+TEST(ResolveScale, AcceptsFinitePositiveNumbers)
+{
+    double f = 0.0;
+    EXPECT_EQ(resolveScale("0.01", &f), "");
+    EXPECT_EQ(f, 0.01);
+    EXPECT_EQ(resolveScale("10", &f), "");
+    EXPECT_EQ(f, 10.0);
+    EXPECT_EQ(resolveScale("2e-3", &f), "");
+    EXPECT_EQ(f, 2e-3);
+}
+
+TEST(ResolveScale, NonNumericNonFiniteOrNonPositiveIsAUsageError)
+{
+    // atof() runs "abc" at full scale (100x the smoke budget) and
+    // lets "inf" reach the uint64_t conversion in scaled().
+    for (const char *bad : {"abc", "", "0", "-0.5", "inf", "-inf", "nan",
+                            "1e999", "0.5x", " "}) {
+        double f = 0.0;
+        const std::string err = resolveScale(bad, &f);
         EXPECT_NE(err.find("usage error"), std::string::npos)
-            << "--shards " << bad << ": " << err;
-        EXPECT_EQ(spec.shards, 1)
-            << "the out-param stays at the safe default";
+            << "MAB_BENCH_SCALE='" << bad << "': " << err;
+        EXPECT_EQ(f, 1.0) << "the out-param stays at the safe default";
     }
 }
 
-TEST(ResolveShards, ShardIdWithoutACountIsAUsageError)
+TEST(ScaleBudget, TruncatesAndNeverConvertsOutOfRange)
 {
-    Args args({"--shard-id", "0"});
-    ShardSpec spec;
-    const std::string err = resolveShards(args.argc(), args.argv(),
-                                          nullptr, nullptr, &spec);
-    EXPECT_NE(err.find("needs --shards"), std::string::npos) << err;
-}
-
-TEST(ResolveShards, NegativeOrNonNumericIdIsAUsageError)
-{
-    for (const char *bad : {"-1", "two", "1.0"}) {
-        Args args({"--shards", "4", "--shard-id", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
-        EXPECT_NE(err.find("usage error"), std::string::npos)
-            << "--shard-id " << bad << ": " << err;
-        EXPECT_EQ(spec.shardId, -1);
-    }
-}
-
-TEST(ResolveShards, IdAtOrAboveTheCountIsAUsageError)
-{
-    for (const char *bad : {"4", "9"}) {
-        Args args({"--shards", "4", "--shard-id", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
-        EXPECT_NE(err.find("must be below"), std::string::npos)
-            << "--shard-id " << bad << ": " << err;
-    }
+    EXPECT_EQ(scaleBudget(1'000'000, 0.01), 10'000u);
+    EXPECT_EQ(scaleBudget(1'000'000, 1.0), 1'000'000u);
+    EXPECT_EQ(scaleBudget(3, 0.5), 1u);
+    EXPECT_EQ(scaleBudget(1'000'000, 1e30), UINT64_MAX);
+    EXPECT_EQ(scaleBudget(1, std::numeric_limits<double>::infinity()),
+              UINT64_MAX);
+    EXPECT_EQ(scaleBudget(1, std::numeric_limits<double>::quiet_NaN()),
+              0u);
+    EXPECT_EQ(scaleBudget(1'000'000, -2.0), 0u);
 }
 
 } // namespace

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/shard.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
@@ -19,10 +18,9 @@
  * Drifting trace-generator tests (trace/drift.h). The central
  * contract: a DriftProfile is an ordinary AppProfile plus a schedule,
  * so every property the stationary workloads enjoy — byte-exact
- * replay, arena spill/warm-start and eviction, jobs/shard
- * determinism — must hold for drifting streams unchanged, and the
- * regime switches must land on the exact instruction the schedule
- * names.
+ * replay, arena spill/warm-start and eviction, jobs determinism —
+ * must hold for drifting streams unchanged, and the regime switches
+ * must land on the exact instruction the schedule names.
  */
 
 namespace mab {
@@ -308,54 +306,6 @@ TEST(DriftSweep, ByteIdenticalAcrossJobs)
         EXPECT_EQ(got, want) << "jobs=" << jobs;
     }
 
-    arena.clear();
-    arena.setEnabled(enabled);
-}
-
-TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
-{
-    TraceArena &arena = TraceArena::global();
-    const bool enabled = arena.stats().enabled;
-    arena.clear();
-    arena.setEnabled(true);
-
-    const fs::path tmp = fs::path(::testing::TempDir()) /
-        "mab_drift_shards";
-    fs::remove_all(tmp);
-    fs::create_directories(tmp);
-
-    ShardSession &sh = ShardSession::global();
-    sh.reset();
-    const std::vector<PfTask> tasks = driftTasks();
-    const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, tasks));
-
-    // Two workers, each owning i % 2 == k, then a merge pass — the
-    // in-process version of --shards 2, which must reassemble the
-    // unsharded bytes exactly.
-    std::vector<std::string> paths;
-    for (int k = 0; k < 2; ++k) {
-        sh.reset();
-        sh.configureWorker(2, k, "test_drift", "scale");
-        sweepPrefetchRuns(1, tasks);
-        const std::string path =
-            (tmp / ("part-" + std::to_string(k) + ".json")).string();
-        std::string err;
-        ASSERT_TRUE(sh.writePartial(path, json::Value::object(),
-                                    &err))
-            << err;
-        paths.push_back(path);
-    }
-    sh.reset();
-    std::string err;
-    ASSERT_TRUE(sh.loadPartials(paths, "test_drift", "scale", &err))
-        << err;
-    const std::vector<uint64_t> got =
-        runFingerprint(sweepPrefetchRuns(1, tasks));
-    EXPECT_EQ(got, want);
-
-    sh.reset();
-    fs::remove_all(tmp);
     arena.clear();
     arena.setEnabled(enabled);
 }

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/ducb.h"
 #include "core/egreedy.h"
 #include "core/factory.h"
 #include "core/heuristics.h"
+#include "core/hierarchical.h"
 #include "core/ucb.h"
 #include "sim/rng.h"
 
@@ -146,6 +149,57 @@ TEST(MabTemplate, NoArmsIsRejectedInEveryBuild)
                      std::invalid_argument)
             << arms << " arms";
     }
+}
+
+TEST(MabTemplate, NonFiniteRewardIsRejectedInEveryBuild)
+{
+    // Reproduction: one NaN reward during DUCB's initial round robin
+    // used to normalize every r_i to NaN, after which DUCB picked arm 0
+    // on every remaining step although arm 3 is by far the best.
+    BernoulliEnv env({0.2, 0.3, 0.4, 0.9}, 7);
+    Ducb policy(config(4));
+    policy.observeReward(env.pull(policy.selectArm()));
+    policy.selectArm();
+    EXPECT_THROW(
+        policy.observeReward(std::numeric_limits<double>::quiet_NaN()),
+        std::invalid_argument);
+    EXPECT_EQ(policy.steps(), 1u) << "a rejected reward changes nothing";
+
+    // The round robin retries step 1's arm, then learning goes on.
+    int best = 0;
+    for (int t = 1; t < 400; ++t) {
+        const ArmId a = policy.selectArm();
+        best += a == 3;
+        policy.observeReward(env.pull(a));
+    }
+    EXPECT_GT(best, 200) << "DUCB kept learning after the rejection";
+
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        policy.selectArm();
+        EXPECT_THROW(policy.observeReward(bad), std::invalid_argument)
+            << bad;
+    }
+}
+
+TEST(MabTemplate, NonFiniteRewardIsRejectedByHierarchicalLearners)
+{
+    HierarchicalBandit policy(config(4));
+    policy.selectArm();
+    EXPECT_THROW(
+        policy.observeReward(std::numeric_limits<double>::quiet_NaN()),
+        std::invalid_argument);
+}
+
+TEST(MabTemplate, RewardBeforeSelectIsALogicError)
+{
+    Ducb policy(config(3));
+    EXPECT_THROW(policy.observeReward(0.5), std::logic_error);
+    policy.selectArm();
+    policy.observeReward(0.5);
+    policy.reset();
+    EXPECT_THROW(policy.observeReward(0.5), std::logic_error)
+        << "reset() forgets the selected arm";
 }
 
 // ---------------------------------------------------------------------
@@ -646,6 +700,81 @@ INSTANTIATE_TEST_SUITE_P(
                           MabAlgorithm::Ucb, MabAlgorithm::Ducb,
                           MabAlgorithm::Single),
         ::testing::Values(2, 5, 11, 32)));
+
+
+// ---------------------------------------------------------------------
+// Reward contract, checked for every algorithm the factory builds: a
+// rejected reward must leave the policy exactly where it was, and a
+// reward before any selectArm() is a caller bug in every build.
+// ---------------------------------------------------------------------
+
+const MabAlgorithm kEveryAlgorithm[] = {
+    MabAlgorithm::EpsilonGreedy, MabAlgorithm::Ucb,
+    MabAlgorithm::Ducb,          MabAlgorithm::Single,
+    MabAlgorithm::Periodic,      MabAlgorithm::SwUcb,
+    MabAlgorithm::Thompson,      MabAlgorithm::Hierarchical,
+};
+
+std::string
+algorithmTestName(const ::testing::TestParamInfo<MabAlgorithm> &info)
+{
+    std::string name = toString(info.param);
+    for (char &ch : name) {
+        if (ch == '-')
+            ch = '_';
+    }
+    return name;
+}
+
+class RewardContractTest : public ::testing::TestWithParam<MabAlgorithm>
+{
+};
+
+TEST_P(RewardContractTest, NonFiniteRewardLeavesThePolicyUnchanged)
+{
+    // Two twins see the same rewards; one is also offered NaN and
+    // +/-inf at steps inside and after the initial round robin. Both
+    // must pick the same arms and end with the same bookkeeping.
+    const MabAlgorithm algo = GetParam();
+    auto twin = makePolicy(algo, config(4));
+    auto probed = makePolicy(algo, config(4));
+    BernoulliEnv env({0.2, 0.3, 0.4, 0.9}, 7);
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+
+    for (int t = 0; t < 400; ++t) {
+        const ArmId a = twin->selectArm();
+        ASSERT_EQ(probed->selectArm(), a)
+            << toString(algo) << " step " << t;
+        if (t == 1 || t == 50 || t == 333) {
+            for (double r : bad)
+                EXPECT_THROW(probed->observeReward(r),
+                             std::invalid_argument)
+                    << toString(algo) << " step " << t << " reward " << r;
+        }
+        const double r = env.pull(a);
+        twin->observeReward(r);
+        probed->observeReward(r);
+    }
+    EXPECT_EQ(probed->steps(), twin->steps());
+    EXPECT_EQ(probed->armCounts(), twin->armCounts());
+    EXPECT_EQ(probed->totalCount(), twin->totalCount());
+}
+
+TEST_P(RewardContractTest, RewardBeforeSelectIsALogicError)
+{
+    const MabAlgorithm algo = GetParam();
+    auto policy = makePolicy(algo, config(3));
+    EXPECT_THROW(policy->observeReward(0.5), std::logic_error)
+        << toString(algo);
+    policy->selectArm();
+    EXPECT_NO_THROW(policy->observeReward(0.5)) << toString(algo);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryAlgorithm, RewardContractTest,
+                         ::testing::ValuesIn(kEveryAlgorithm),
+                         algorithmTestName);
 
 } // namespace
 } // namespace mab
