@@ -84,11 +84,12 @@ parseInt64(const char *text, int64_t *out)
     return true;
 }
 
-/** Strict base-10 unsigned parse (seeds; rejects signs and suffixes). */
+/** Strict base-10 unsigned parse (seeds; rejects signs, suffixes and
+ *  leading blanks — strtoull would skip " -1" to -1 and wrap it). */
 inline bool
 parseUint64(const char *text, uint64_t *out)
 {
-    if (!text || *text == '\0' || *text == '-' || *text == '+')
+    if (!text || *text < '0' || *text > '9')
         return false;
     char *end = nullptr;
     errno = 0;
@@ -131,6 +132,27 @@ resolveScale(const char *env, double *out)
                            "finite number above 0, got '") +
             env + "'";
     *out = f;
+    return "";
+}
+
+/**
+ * Testable core of the trace arena's byte budget: MAB_TRACE_ARENA_MB
+ * in @p env, a whole number of MiB; @p out keeps its value when
+ * @p env is unset. A sign or a suffix is a usage error (`-1` must not
+ * wrap to a 16 EiB budget, `512MB` must not fall back to the
+ * default), and so is 2^44 MiB or more, whose byte count would wrap.
+ */
+inline std::string
+resolveArenaBudget(const char *env, uint64_t *out)
+{
+    if (!env)
+        return "";
+    uint64_t mb = 0;
+    if (!parseUint64(env, &mb) || mb >= (1ull << 44))
+        return std::string("usage error: MAB_TRACE_ARENA_MB needs a "
+                           "whole number of MiB below 2^44, got '") +
+            env + "'";
+    *out = mb << 20;
     return "";
 }
 
@@ -443,6 +465,8 @@ resolveTraceGranularity(int argc, char **argv, const char *env,
  *     MAB_PROFILE=1                       phase profiler only (adds
  *                                         the "profile" subtree to
  *                                         --json reports)
+ *     MAB_TRACE_ARENA_MB=<MiB>            trace-arena byte budget
+ *                                         (default 512)
  *
  * The destructor finalizes all sinks; aborted runs are covered by the
  * tracer's atexit/signal flush hooks.
@@ -455,10 +479,15 @@ class TracingSession
         // Valueless flag, so scanned directly (argValue consumes the
         // token after the flag). MAB_TRACE_ARENA=0 is parsed by the
         // arena itself on first use.
+        TraceArena &arena = TraceArena::global();
         for (int i = 1; i < argc; ++i) {
             if (std::strcmp(argv[i], "--no-trace-cache") == 0)
-                TraceArena::global().setEnabled(false);
+                arena.setEnabled(false);
         }
+        uint64_t budget = arena.budgetBytes();
+        exitOnUsageError(resolveArenaBudget(
+            std::getenv("MAB_TRACE_ARENA_MB"), &budget));
+        arena.setBudgetBytes(budget);
 
         tracing::Tracer &tracer = tracing::Tracer::global();
 

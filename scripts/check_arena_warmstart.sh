@@ -6,9 +6,9 @@
 # no arena directory:
 #
 #   1. Cold start — the first run against an empty arena directory
-#      must spill every trace it generates (fileSpills > 0,
-#      fileHits = 0) and still match the dirless run byte-for-byte
-#      (stdout, and the --json report modulo meta).
+#      must generate (genMs > 0) and spill every trace it needs
+#      (fileSpills > 0, fileHits = 0) and still match the dirless run
+#      byte-for-byte (stdout, and the --json report modulo meta).
 #   2. Warm start — the second run over the same directory must do
 #      ZERO trace generation (genMs = 0, fileSpills = 0,
 #      fileHits > 0) and again match byte-for-byte.
@@ -61,6 +61,8 @@ if mode == "cold":
         fail("a cold run must spill its traces")
     if arena["fileHits"] != 0:
         fail("a cold run cannot hit spill files")
+    if not arena["genMs"] > 0:
+        fail("a cold run must count its trace generation time")
 else:
     if arena["fileHits"] == 0:
         fail("a warm run must load spilled traces")

@@ -1,6 +1,6 @@
 #include "core/heuristics.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "sim/stats.h"
 
@@ -64,7 +64,10 @@ PeriodicHeuristic::pushSample(ArmId arm, double r)
 FixedArmPolicy::FixedArmPolicy(const MabConfig &config, ArmId arm)
     : MabPolicy(config), arm_(arm)
 {
-    assert(arm >= 0 && arm < config.numArms);
+    if (arm < 0 || arm >= config.numArms)
+        throw std::invalid_argument(
+            "FixedArmPolicy: arm " + std::to_string(arm) +
+            " outside [0, " + std::to_string(config.numArms) + ")");
     disableInitialRoundRobin();
 }
 

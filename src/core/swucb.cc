@@ -1,14 +1,21 @@
 #include "core/swucb.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
 SwUcb::SwUcb(const MabConfig &config, int window)
     : Ucb(config), window_(window), sum_(config.numArms, 0.0)
 {
-    assert(window_ >= config.numArms &&
-           "window must cover at least one sample per arm");
+    // A window shorter than the arm count evicts pending samples
+    // before their reward arrives: n_ would grow without bound while
+    // sum_ keeps every reward.
+    if (window_ < config.numArms)
+        throw std::invalid_argument(
+            "SwUcb: window " + std::to_string(window_) +
+            " is below the arm count " +
+            std::to_string(config.numArms));
 }
 
 void

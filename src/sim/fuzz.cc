@@ -1363,7 +1363,7 @@ checkReplayEquivalence(uint64_t seed)
     // top after reset() on both sides (a reseeded generator must
     // equal a rewound replay).
     const uint64_t n = c.instructions;
-    const auto mat = std::make_shared<MaterializedTrace>(c.app, n);
+    const auto mat = MaterializedTrace::generate(c.app, n);
     {
         SyntheticTrace live(c.app);
         ReplaySource replay(mat);
@@ -1506,8 +1506,7 @@ diffDriftCase(const DriftCase &c)
     // over live generation vs materialized replay — the arena-on
     // vs arena-off delivery paths.
     const uint64_t n = c.instructions;
-    const auto mat =
-        std::make_shared<MaterializedTrace>(c.drift.app, n);
+    const auto mat = MaterializedTrace::generate(c.drift.app, n);
     {
         SyntheticTrace live(c.drift.app);
         ReplaySource replay(mat);

@@ -1,10 +1,12 @@
 #include "trace/arena_file.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -76,15 +78,16 @@ struct FileCloser
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 #ifdef MAB_ARENA_MMAP
-/** RAII mapping: keeps the file's pages alive for every ReplaySource
- *  still holding the MaterializedTrace built over them. */
-class MappedFile final : public PayloadOwner
+/** RAII mapping (of an arena file, or anonymous): keeps the pages
+ *  alive for every ReplaySource still holding the MaterializedTrace
+ *  built over them. */
+class Mapping final : public PayloadOwner
 {
   public:
-    MappedFile(void *base, size_t len) : base_(base), len_(len) {}
-    ~MappedFile() override { ::munmap(base_, len_); }
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
+    Mapping(void *base, size_t len) : base_(base), len_(len) {}
+    ~Mapping() override { ::munmap(base_, len_); }
+    Mapping(const Mapping &) = delete;
+    Mapping &operator=(const Mapping &) = delete;
 
   private:
     void *base_;
@@ -92,8 +95,8 @@ class MappedFile final : public PayloadOwner
 };
 #endif
 
-/** Heap fallback when mmap is unavailable: the payload is read into
- *  one contiguous allocation the owner keeps alive. */
+/** Heap fallback when mmap is unavailable: one contiguous allocation
+ *  the owner keeps alive. */
 class HeapPayload final : public PayloadOwner
 {
   public:
@@ -108,6 +111,36 @@ class HeapPayload final : public PayloadOwner
 };
 
 } // namespace
+
+Payload
+allocatePayload(uint64_t count)
+{
+    Payload p;
+    if (count == 0)
+        return p;
+    if (count > SIZE_MAX / sizeof(PackedRecord))
+        throw std::bad_alloc();
+#ifdef MAB_ARENA_MMAP
+    const size_t len = static_cast<size_t>(count * sizeof(PackedRecord));
+    void *base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED)
+        throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+    // A fresh mapping faults in on first write; huge pages make that
+    // one fault per 2 MiB instead of per 4 KiB. A hint: failure is
+    // harmless.
+    ::madvise(base, len, MADV_HUGEPAGE);
+#endif
+    p.owner = std::make_shared<Mapping>(base, len);
+    p.data = static_cast<PackedRecord *>(base);
+#else
+    auto heap = std::make_shared<HeapPayload>(count);
+    p.data = heap->data();
+    p.owner = std::move(heap);
+#endif
+    return p;
+}
 
 std::string
 filePath(const std::string &dir, const std::string &key)
@@ -156,7 +189,7 @@ tryLoad(const std::string &dir, const std::string &key,
         res.status = LoadStatus::Rejected;
         return res;
     }
-    auto owner = std::make_shared<MappedFile>(base, len);
+    auto owner = std::make_shared<Mapping>(base, len);
     const unsigned char *bytes =
         static_cast<const unsigned char *>(base);
 
@@ -257,8 +290,6 @@ bool
 save(const std::string &dir, const std::string &key,
      const MaterializedTrace &trace)
 {
-    if (trace.available() < trace.size())
-        return false; // only complete traces are spilled
     const uint64_t count = trace.size();
 
     std::error_code ec;
@@ -266,15 +297,9 @@ save(const std::string &dir, const std::string &key,
     if (ec)
         return false;
 
-    // First pass: checksum the payload chunk by chunk, so the header
-    // can be written before the records.
-    uint64_t checksum = kFnvBasis;
-    for (uint64_t c = 0; c < trace.numChunks(); ++c) {
-        checksum = checksumWords(
-            reinterpret_cast<const uint64_t *>(trace.chunkPtr(c)),
-            trace.chunkLength(c) * (sizeof(PackedRecord) / 8),
-            checksum);
-    }
+    const uint64_t checksum = checksumWords(
+        reinterpret_cast<const uint64_t *>(trace.data()),
+        count * (sizeof(PackedRecord) / 8), kFnvBasis);
 
     const std::string path = filePath(dir, key);
     std::string tmp = path;
@@ -301,20 +326,18 @@ save(const std::string &dir, const std::string &key,
 
         const std::vector<unsigned char> pad(
             payloadOffset - kHeaderBytes - key.size(), 0);
-        bool ok =
+        const size_t bytes =
+            static_cast<size_t>(count * sizeof(PackedRecord));
+        const bool ok =
             std::fwrite(head, 1, sizeof(head), f.get()) ==
                 sizeof(head) &&
             std::fwrite(key.data(), 1, key.size(), f.get()) ==
                 key.size() &&
             (pad.empty() ||
              std::fwrite(pad.data(), 1, pad.size(), f.get()) ==
-                 pad.size());
-        for (uint64_t c = 0; ok && c < trace.numChunks(); ++c) {
-            const size_t bytes = static_cast<size_t>(
-                trace.chunkLength(c) * sizeof(PackedRecord));
-            ok = std::fwrite(trace.chunkPtr(c), 1, bytes, f.get()) ==
-                bytes;
-        }
+                 pad.size()) &&
+            (bytes == 0 ||
+             std::fwrite(trace.data(), 1, bytes, f.get()) == bytes);
         if (!ok || std::fflush(f.get()) != 0) {
             f.reset();
             std::remove(tmp.c_str());

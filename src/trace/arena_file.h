@@ -12,7 +12,9 @@ namespace mab {
 namespace arena_file {
 
 /**
- * On-disk persistence of materialized traces (MAB_TRACE_ARENA_DIR).
+ * On-disk persistence of materialized traces (MAB_TRACE_ARENA_DIR),
+ * and the payload storage generated traces live in (allocatePayload;
+ * both need the platform's mmap).
  *
  * One file per (workload fingerprint, instruction count) pair, named
  * by a hash of the arena key and laid out for mmap replay:
@@ -55,6 +57,24 @@ struct LoadResult
     std::shared_ptr<MaterializedTrace> trace; ///< set iff Ok
 };
 
+/** A writable record payload and the owner that keeps it alive. */
+struct Payload
+{
+    PackedRecord *data = nullptr;
+    std::shared_ptr<PayloadOwner> owner;
+};
+
+/**
+ * Storage for @p count PackedRecords (none for 0), in its own
+ * anonymous mapping where mmap is available, so freeing a trace
+ * returns its pages to the system. Traces are megabytes of varying
+ * sizes: from the malloc heap, a freed one leaves a hole the next
+ * need not fit (with heap payloads, perfbench's peak RSS on the
+ * prefetch workloads was 8-11% higher). Throws std::bad_alloc on
+ * failure.
+ */
+Payload allocatePayload(uint64_t count);
+
 /** The file a trace with arena key @p key lives at under @p dir. */
 std::string filePath(const std::string &dir, const std::string &key);
 
@@ -67,10 +87,9 @@ LoadResult tryLoad(const std::string &dir, const std::string &key,
                    const AppProfile &profile, uint64_t count);
 
 /**
- * Spill the fully-materialized @p trace under @p dir (created if
- * absent) as key @p key. Returns false — never throws — when the
- * trace is incomplete or any filesystem step fails; the arena then
- * simply stays in-memory for this run.
+ * Spill @p trace under @p dir (created if absent) as key @p key.
+ * Returns false — never throws — when any filesystem step fails; the
+ * arena then simply stays in-memory for this run.
  */
 bool save(const std::string &dir, const std::string &key,
           const MaterializedTrace &trace);

@@ -218,17 +218,6 @@ SyntheticTrace::next()
     return rec;
 }
 
-void
-SyntheticTrace::fill(TraceRecord *out, uint64_t n)
-{
-    // next() resolves non-virtually here (final class, same TU), so
-    // the whole generation loop — RNG draws included — inlines into
-    // one batched pass. This is the materialization fast path; it
-    // produces bit-for-bit the records n virtual next() calls would.
-    for (uint64_t i = 0; i < n; ++i)
-        out[i] = next();
-}
-
 std::unique_ptr<TraceSource>
 makePhaseShuffledTrace(const AppProfile &app, uint64_t shuffle_seed)
 {

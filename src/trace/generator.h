@@ -20,21 +20,6 @@ class TraceSource
     /** Produce the next dynamic instruction. Sources never run dry. */
     virtual TraceRecord next() = 0;
 
-    /**
-     * Bulk generation: write the next @p n records to @p out, exactly
-     * as n calls to next() would. The default loops over the virtual
-     * next(); concrete sources override it with a direct (devirtual-
-     * ized) loop so materializing a workload pays no per-record
-     * dispatch. This is the path MaterializedTrace is built through
-     * (trace/replay.h).
-     */
-    virtual void
-    fill(TraceRecord *out, uint64_t n)
-    {
-        for (uint64_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
-
     /** Restart the trace from the beginning. */
     virtual void reset() = 0;
 
@@ -136,7 +121,6 @@ class SyntheticTrace final : public TraceSource
     explicit SyntheticTrace(AppProfile profile);
 
     TraceRecord next() override;
-    void fill(TraceRecord *out, uint64_t n) override;
     void reset() override;
     const std::string &name() const override { return profile_.name; }
 

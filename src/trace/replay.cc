@@ -1,6 +1,5 @@
 #include "trace/replay.h"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -66,151 +65,29 @@ profileFingerprint(const AppProfile &profile)
 }
 
 MaterializedTrace::MaterializedTrace(const AppProfile &profile,
-                                     uint64_t count)
-    : name_(profile.name), count_(count), gen_(profile)
-{
-    // The whole directory exists up front (null slots): readers index
-    // it lock-free while the recorder fills slots in, so it must
-    // never reallocate.
-    chunks_.resize(numChunks());
-}
-
-MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      uint64_t count,
                                      const PackedRecord *payload,
                                      std::shared_ptr<PayloadOwner> owner)
-    : name_(profile.name), count_(count), gen_(profile),
-      mapped_(payload), owner_(std::move(owner))
+    : name_(profile.name), count_(count), data_(payload),
+      owner_(std::move(owner))
 {
-    // Every record is already on disk: publish the full frontier so
-    // no consumer ever claims the recorder role, and skip the chunk
-    // directory entirely — chunkPtr() serves straight from mapped_.
-    avail_.store(count, std::memory_order_release);
-}
-
-bool
-MaterializedTrace::tryBecomeRecorder()
-{
-    bool expected = false;
-    if (!recorderActive_.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel,
-            std::memory_order_acquire))
-        return false;
-    recorderThread_.store(std::this_thread::get_id(),
-                          std::memory_order_seq_cst);
-    return true;
-}
-
-void
-MaterializedTrace::releaseRecorder()
-{
-    // Clear the thread id first: a waiter that still observes the
-    // role as active must never read its *own* id from a holder that
-    // has already left (see recorderIsThisThread).
-    recorderThread_.store(std::thread::id{},
-                          std::memory_order_seq_cst);
-    recorderActive_.store(false, std::memory_order_release);
-}
-
-bool
-MaterializedTrace::recorderIsThisThread() const
-{
-    return recorderActive_.load(std::memory_order_seq_cst) &&
-        recorderThread_.load(std::memory_order_seq_cst) ==
-        std::this_thread::get_id();
-}
-
-void
-MaterializedTrace::materializeAll()
-{
-    while (available() < count_) {
-        if (!tryBecomeRecorder()) {
-            std::this_thread::yield();
-            continue;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        uint64_t i = avail_.load(std::memory_order_relaxed);
-        while (i < count_) {
-            PackedRecord *slot = recordChunk(i >> kChunkShift);
-            const uint64_t end =
-                std::min(count_, (i >> kChunkShift << kChunkShift) +
-                             kChunkRecords);
-            for (; i < end; ++i)
-                recordInto(slot[i & (kChunkRecords - 1)], i + 1);
-        }
-        genNs_.fetch_add(
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count()),
-            std::memory_order_relaxed);
-        releaseRecorder();
-    }
-}
-
-uint64_t
-MaterializedTrace::bytes() const
-{
-    const uint64_t avail = available();
-    if (avail == 0)
-        return 0;
-    // Chunks are allocated whole when their first record lands.
-    const uint64_t chunks =
-        (avail + kChunkRecords - 1) >> kChunkShift;
-    const uint64_t records = std::min(count_, chunks << kChunkShift);
-    return records * sizeof(PackedRecord);
-}
-
-double
-MaterializedTrace::genMs() const
-{
-    // Standalone (burst) generation only: records captured inside a
-    // recording run cost that run ~a store apiece and are not counted.
-    return static_cast<double>(
-               genNs_.load(std::memory_order_relaxed)) /
-        1e6;
 }
 
 std::shared_ptr<MaterializedTrace>
 MaterializedTrace::generate(const AppProfile &profile, uint64_t count)
 {
-    auto trace = std::make_shared<MaterializedTrace>(profile, count);
-    trace->materializeAll();
+    const auto start = std::chrono::steady_clock::now();
+    arena_file::Payload payload = arena_file::allocatePayload(count);
+    PackedRecord *out = payload.data;
+    SyntheticTrace gen(profile);
+    for (uint64_t i = 0; i < count; ++i)
+        out[i] = PackedRecord::pack(gen.next());
+    auto trace = std::make_shared<MaterializedTrace>(
+        profile, count, out, std::move(payload.owner));
+    trace->genMs_ = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
     return trace;
-}
-
-void
-ReplaySource::advance()
-{
-    if (pos_ >= size_)
-        throwExhausted();
-    for (;;) {
-        const uint64_t avail = trace_->available();
-        if (pos_ < avail) {
-            known_ = std::min(avail, size_);
-            return;
-        }
-        if (trace_->tryBecomeRecorder()) {
-            // Records may have been published between the load above
-            // and the claim; only record from the true frontier.
-            const uint64_t now = trace_->available();
-            if (pos_ < now) {
-                trace_->releaseRecorder();
-                known_ = std::min(now, size_);
-                return;
-            }
-            recording_ = true;
-            known_ = size_;
-            return;
-        }
-        if (trace_->recorderIsThisThread())
-            throw std::runtime_error(
-                "ReplaySource '" + trace_->name() +
-                "': read past the materialization frontier while "
-                "another source on this thread holds the recorder "
-                "role — it can never catch up");
-        std::this_thread::yield();
-    }
 }
 
 void
@@ -227,12 +104,6 @@ TraceArena::TraceArena() : budgetBytes_(kDefaultBudgetBytes)
     if (const char *env = std::getenv("MAB_TRACE_ARENA")) {
         if (env[0] == '0' && env[1] == '\0')
             enabled_ = false;
-    }
-    if (const char *env = std::getenv("MAB_TRACE_ARENA_MB")) {
-        char *end = nullptr;
-        const unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            budgetBytes_ = static_cast<uint64_t>(mb) << 20;
     }
     if (const char *env = std::getenv("MAB_TRACE_ARENA_DIR")) {
         if (env[0] != '\0')
@@ -407,11 +278,11 @@ TraceArena::acquireTrace(const AppProfile &profile, uint64_t count)
     key += std::to_string(count);
     const std::string diskDir = dir();
     auto item = acquire(key, [&]() -> std::shared_ptr<ArenaItem> {
+        // A warm start mmaps the spilled file (zero generation); a
+        // cold or corrupt-file miss generates the whole trace, then
+        // spills it so the next process is warm. Same-key acquirers
+        // wait on the arena's future meanwhile.
         if (!diskDir.empty()) {
-            // Persistent arena: a warm start mmaps the spilled file
-            // (zero generation, one page-cache copy shared by every
-            // worker process); a cold or corrupt-file miss generates
-            // eagerly and spills so the *next* process is warm.
             arena_file::LoadResult loaded =
                 arena_file::tryLoad(diskDir, key, profile, count);
             if (loaded.status == arena_file::LoadStatus::Ok) {
@@ -420,16 +291,11 @@ TraceArena::acquireTrace(const AppProfile &profile, uint64_t count)
             }
             if (loaded.status == arena_file::LoadStatus::Rejected)
                 fileRejects_.fetch_add(1, std::memory_order_relaxed);
-            auto trace = MaterializedTrace::generate(profile, count);
-            if (arena_file::save(diskDir, key, *trace))
-                fileSpills_.fetch_add(1, std::memory_order_relaxed);
-            return trace;
         }
-        // In-memory arena: construction is cheap — records
-        // materialize lazily, inside the first consuming run — so a
-        // miss never blocks siblings behind a standalone generation
-        // pass.
-        return std::make_shared<MaterializedTrace>(profile, count);
+        auto trace = MaterializedTrace::generate(profile, count);
+        if (!diskDir.empty() && arena_file::save(diskDir, key, *trace))
+            fileSpills_.fetch_add(1, std::memory_order_relaxed);
+        return trace;
     });
     return std::static_pointer_cast<MaterializedTrace>(item);
 }

@@ -9,9 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "trace/generator.h"
 
@@ -30,12 +28,11 @@ namespace mab {
  *
  *  - PackedRecord: a 16-byte buffer format for TraceRecord (flags
  *    bit-packed into the top byte of the PC word).
- *  - MaterializedTrace: a chunked PackedRecord buffer recorded as a
- *    side effect of the first run that consumes the workload — there
- *    is no standalone generation pass.
+ *  - MaterializedTrace: one immutable contiguous PackedRecord
+ *    array, generated whole on the arena miss (or mapped from an
+ *    arena file) before any run reads it.
  *  - ReplaySource: a TraceSource whose next() is a trivially
- *    inlinable load from the buffer (or, on the first run, a live
- *    generator call that also records).
+ *    inlinable load from the array.
  *  - TraceArena: a process-wide, mutex-guarded cache of materialized
  *    workloads, shared_ptr-shared across sweep tasks, with a byte
  *    budget, LRU eviction and hit/miss/bytes/genMs counters (the
@@ -127,11 +124,12 @@ class ArenaItem
 };
 
 /**
- * Owner of an externally-backed record payload: a MaterializedTrace
- * constructed over one keeps the owner alive for as long as any
- * consumer holds the trace. The concrete owner (an mmap'd arena file,
- * see trace/arena_file.h) stays out of this header so the replay hot
- * path never sees platform includes.
+ * Owner of a trace's record payload: a MaterializedTrace keeps its
+ * owner alive for as long as any consumer holds the trace. The owner
+ * is a memory mapping — anonymous for a generated trace, of the file
+ * for a loaded one — or a heap buffer where mmap is unavailable (see
+ * trace/arena_file.cc, which keeps the platform includes out of this
+ * header).
  */
 class PayloadOwner
 {
@@ -142,174 +140,49 @@ class PayloadOwner
 /**
  * A materialized instruction trace: exactly the first size() records
  * the generating SyntheticTrace produces from a fresh start, in
- * PackedRecord form.
+ * PackedRecord form, as one immutable contiguous array.
  *
- * Records are materialized at *record* granularity by whichever
- * consumer holds the recorder role: the first run over a workload
- * claims the role and its ReplaySource generates each record live —
- * inside its own simulation loop, where the host core overlaps the
- * generator's RNG work with sim cache misses — storing the packed
- * form as a side effect (~one 16-byte store per record). There is
- * never a standalone generation pass. Later runs replay the published
- * records lock-free: the chunk directory is sized once at
- * construction so slots never move, each record is written before the
- * frontier count is release-published, and readers acquire the count.
- *
- * A concurrent run that catches up to the frontier (same workload,
- * --jobs > 1) waits for the recorder to publish more records — it
- * tracks one record behind the recorder's sim loop — and inherits the
- * role if the recorder retires mid-trace.
+ * A trace is complete from the moment it exists — generate() fills
+ * the whole payload before returning, and an arena file is only
+ * mapped after its checksum and fingerprint verify — so any number
+ * of ReplaySources on any threads read it with no synchronization.
  */
 class MaterializedTrace final : public ArenaItem
 {
   public:
-    /** Records per chunk (power of two; 256KB of PackedRecords). */
-    static constexpr unsigned kChunkShift = 14;
-    static constexpr uint64_t kChunkRecords = 1ull << kChunkShift;
-
-    /** Lazy trace of the first @p count records over @p profile. */
-    MaterializedTrace(const AppProfile &profile, uint64_t count);
-
     /**
-     * Fully-materialized trace over an external payload of @p count
-     * contiguous PackedRecords (an mmap'd arena file): every record
-     * is published up front, no recorder ever runs, and @p owner is
-     * kept alive until the trace dies. The payload bytes were
-     * checksum- and fingerprint-verified by the loader
-     * (trace/arena_file.cc), so replay through it is byte-identical
-     * to live generation by the same contract as the in-memory path.
+     * Trace over @p count contiguous PackedRecords at @p payload.
+     * @p owner keeps the payload alive until the trace dies.
      */
     MaterializedTrace(const AppProfile &profile, uint64_t count,
                       const PackedRecord *payload,
                       std::shared_ptr<PayloadOwner> owner);
 
-    /**
-     * Fully materialized trace (every record generated eagerly):
-     * microbench / test convenience for timing or inspecting the
-     * whole buffer at once.
-     */
+    /** Generate the first @p count records of @p profile eagerly. */
     static std::shared_ptr<MaterializedTrace>
     generate(const AppProfile &profile, uint64_t count);
 
-    /** Records published so far (readable without the recorder). */
-    uint64_t available() const
-    {
-        return avail_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Pointer to chunk @p idx. Only records below available() may be
-     * read through it; the slot itself never moves once its first
-     * record is published.
-     */
-    const PackedRecord *chunkPtr(uint64_t idx) const
-    {
-        // Mapped traces serve chunks straight out of the contiguous
-        // external payload; the branch sits on the once-per-16K-record
-        // refill path, never in the per-record loop.
-        if (mapped_)
-            return mapped_ + (idx << kChunkShift);
-        return chunks_[idx].get();
-    }
-
-    /** True when the payload is externally backed (arena file). */
-    bool isMapped() const { return mapped_ != nullptr; }
-
-    /**
-     * Claim the (single) recorder role. On success the caller — and
-     * only the caller, from one thread — advances the trace via
-     * recordNext() until it calls releaseRecorder(). The claim
-     * acquire-synchronizes with the previous holder's release, so the
-     * generator state hands off cleanly mid-trace.
-     */
-    bool tryBecomeRecorder();
-    void releaseRecorder();
-
-    /**
-     * True when the active recorder runs on the calling thread. A
-     * second source on the recorder's own thread that reads past the
-     * frontier can never be satisfied (the recorder only advances
-     * between its own next() calls), so waiters use this to throw
-     * instead of spinning forever.
-     */
-    bool recorderIsThisThread() const;
-
-    /**
-     * The writable chunk @p idx (recorder only), allocating its slot
-     * on first use. Taken once per 16K records by the recording
-     * source, which then writes records through the raw pointer.
-     */
-    PackedRecord *
-    recordChunk(uint64_t idx)
-    {
-        std::unique_ptr<PackedRecord[]> &slot = chunks_[idx];
-        if (!slot)
-            slot.reset(new PackedRecord[chunkLength(idx)]);
-        return slot.get();
-    }
-
-    /**
-     * Generate the record at the frontier, store its packed form into
-     * @p slot and publish @p newCount records. Recorder only; defined
-     * in-class so the recording run's hot path is one direct
-     * (devirtualized) generator call, a pack and two plain stores.
-     */
-    PackedRecord
-    recordInto(PackedRecord &slot, uint64_t newCount)
-    {
-        const PackedRecord p = PackedRecord::pack(gen_.next());
-        slot = p;
-        avail_.store(newCount, std::memory_order_release);
-        return p;
-    }
-
+    const PackedRecord *data() const { return data_; }
     uint64_t size() const { return count_; }
-    uint64_t numChunks() const
-    {
-        return (count_ + kChunkRecords - 1) / kChunkRecords;
-    }
-    uint64_t chunkLength(uint64_t idx) const
-    {
-        const uint64_t base = idx << kChunkShift;
-        return count_ - base < kChunkRecords ? count_ - base
-                                             : kChunkRecords;
-    }
     const std::string &name() const { return name_; }
 
-    uint64_t bytes() const override;
-    double genMs() const override;
+    uint64_t bytes() const override
+    {
+        return count_ * sizeof(PackedRecord);
+    }
+    double genMs() const override { return genMs_; }
 
   private:
-    /** Drive recordNext() to the end of the trace (generate()). */
-    void materializeAll();
-
     std::string name_;
     uint64_t count_;
-
-    SyntheticTrace gen_;
-    /** Directory sized once at construction; slots never move. */
-    std::vector<std::unique_ptr<PackedRecord[]>> chunks_;
-    /** External contiguous payload (mapped mode), else nullptr. */
-    const PackedRecord *mapped_ = nullptr;
+    const PackedRecord *data_;
     std::shared_ptr<PayloadOwner> owner_;
-    std::atomic<uint64_t> avail_{0}; ///< published record count
-    std::atomic<bool> recorderActive_{false};
-    std::atomic<std::thread::id> recorderThread_{};
-    std::atomic<uint64_t> genNs_{0}; ///< standalone (burst) gen only
+    double genMs_ = 0.0; ///< 0 for a trace loaded from a file
 };
 
 /**
- * TraceSource over a MaterializedTrace. Two hot modes, decided per
- * run at the materialization frontier:
- *
- *  - replay: next() is a bounds check, one 16-byte load and a flag
- *    unpack — no RNG, no phase machinery; only crossing a 16K-record
- *    chunk boundary leaves the header.
- *  - recording: this source holds the trace's recorder role; next()
- *    generates the record live (exactly what a bare SyntheticTrace
- *    would hand the run) and publishes the packed form as a side
- *    effect, so the first run over a workload pays one extra 16-byte
- *    store per record instead of a standalone generation pass.
+ * TraceSource over a MaterializedTrace: next() is a bounds check, one
+ * 16-byte load and a flag unpack — no RNG, no phase machinery.
  *
  * The class is final and next() is defined in-class so the CoreModel
  * hot loop (which caches the concrete pointer, see cpu/core_model.h)
@@ -324,18 +197,10 @@ class ReplaySource final : public TraceSource
 {
   public:
     explicit ReplaySource(std::shared_ptr<MaterializedTrace> trace)
-        : trace_(std::move(trace)), size_(trace_->size())
+        : trace_(std::move(trace)), data_(trace_->data()),
+          size_(trace_->size())
     {
     }
-
-    ~ReplaySource() override
-    {
-        if (recording_)
-            trace_->releaseRecorder();
-    }
-
-    ReplaySource(const ReplaySource &) = delete;
-    ReplaySource &operator=(const ReplaySource &) = delete;
 
     /**
      * The next record in packed form — the hot entry point: the
@@ -346,74 +211,27 @@ class ReplaySource final : public TraceSource
     PackedRecord
     nextPacked()
     {
-        if (pos_ >= known_)
-            advance(); // exhaustion check + frontier resolution
-        const uint64_t off =
-            pos_ & (MaterializedTrace::kChunkRecords - 1);
-        if (recording_) {
-            if (off == 0 || recChunk_ == nullptr)
-                recChunk_ = trace_->recordChunk(
-                    pos_ >> MaterializedTrace::kChunkShift);
-            ++pos_;
-            return trace_->recordInto(recChunk_[off], pos_);
-        }
-        if (off == 0 || chunk_ == nullptr)
-            chunk_ = trace_->chunkPtr(
-                pos_ >> MaterializedTrace::kChunkShift);
-        ++pos_;
-        return chunk_[off];
+        if (pos_ >= size_) [[unlikely]]
+            throwExhausted();
+        return data_[pos_++];
     }
 
     TraceRecord next() override { return nextPacked().unpack(); }
 
-    void
-    fill(TraceRecord *out, uint64_t n) override
-    {
-        for (uint64_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
-
-    void
-    reset() override
-    {
-        if (recording_) {
-            trace_->releaseRecorder();
-            recording_ = false;
-        }
-        pos_ = 0;
-        known_ = 0;
-        chunk_ = nullptr;
-        recChunk_ = nullptr;
-    }
+    void reset() override { pos_ = 0; }
 
     const std::string &name() const override { return trace_->name(); }
 
     uint64_t size() const { return size_; }
     uint64_t position() const { return pos_; }
-    bool recording() const { return recording_; }
 
   private:
-    /**
-     * Slow path, off the hot loop: position reached known_. Either
-     * the run is exhausted (throws), more published records became
-     * visible (refreshes known_), or this source is at the true
-     * frontier — then it claims the recorder role, or waits for the
-     * concurrent recorder to publish past pos_.
-     */
-    void advance();
-
     [[noreturn]] void throwExhausted() const;
 
     std::shared_ptr<MaterializedTrace> trace_;
-    const PackedRecord *chunk_ = nullptr;
-    PackedRecord *recChunk_ = nullptr; ///< current chunk (recording)
+    const PackedRecord *data_;
     uint64_t size_;
     uint64_t pos_ = 0;
-    /** Records consumable without re-resolving the frontier: the
-     *  published count last observed (capped at size_), or size_
-     *  while recording. */
-    uint64_t known_ = 0;
-    bool recording_ = false;
 };
 
 /**
@@ -432,20 +250,21 @@ class ReplaySource final : public TraceSource
  * Environment knobs (read once, at first use):
  *   MAB_TRACE_ARENA=0        disable (every run generates live); the
  *                            bench flag --no-trace-cache does the same
- *   MAB_TRACE_ARENA_MB=<n>   byte budget in MiB (default 512)
  *   MAB_TRACE_ARENA_DIR=<d>  persist instruction traces as versioned
  *                            on-disk PackedRecord files under <d>
  *                            (created if absent). A miss first tries
  *                            to mmap the workload's file — warm starts
- *                            skip generation entirely, and concurrent
- *                            worker processes share one copy of every
- *                            trace through the page cache. A miss with
- *                            no (or a corrupt) file generates eagerly,
- *                            then spills via an atomic rename so
- *                            racing writers can never expose a partial
- *                            file. Corrupt files (bad magic/version/
+ *                            skip generation entirely. A miss with no
+ *                            (or a corrupt) file generates, then
+ *                            spills via an atomic rename so racing
+ *                            writers can never expose a partial file.
+ *                            Corrupt files (bad magic/version/
  *                            fingerprint/length/checksum) are rejected
  *                            and regenerated, never replayed.
+ *
+ * The byte budget (default 512 MiB) is set through setBudgetBytes();
+ * the bench harness parses MAB_TRACE_ARENA_MB into it (bench/common.h,
+ * resolveArenaBudget).
  */
 class TraceArena
 {

@@ -132,7 +132,7 @@ expectMatchesLive(const AppProfile &app,
 TEST_F(ArenaPersistTest, ColdRunSpillsAndWarmRunLoads)
 {
     const AppProfile app = allWorkloads().front().app;
-    const uint64_t n = MaterializedTrace::kChunkRecords + 777;
+    const uint64_t n = 20'000;
 
     // Cold: generate + spill.
     auto cold = TraceArena::global().acquireTrace(app, n);
@@ -140,7 +140,6 @@ TEST_F(ArenaPersistTest, ColdRunSpillsAndWarmRunLoads)
     EXPECT_EQ(s.fileSpills, 1u);
     EXPECT_EQ(s.fileHits, 0u);
     EXPECT_EQ(s.dir, tmp_.string());
-    EXPECT_FALSE(cold->isMapped());
     EXPECT_TRUE(fs::exists(spillFile()));
 
     // Warm: a fresh acquire maps the file instead of generating.
@@ -149,7 +148,6 @@ TEST_F(ArenaPersistTest, ColdRunSpillsAndWarmRunLoads)
     s = TraceArena::global().stats();
     EXPECT_EQ(s.fileHits, 1u);
     EXPECT_EQ(s.fileSpills, 0u);
-    EXPECT_TRUE(warm->isMapped());
     expectMatchesLive(app, warm, n, "warm-load");
 }
 
@@ -161,7 +159,6 @@ TEST_F(ArenaPersistTest, WarmLoadIsByteIdenticalAcrossAllWorkloads)
     forgetMemory();
     for (const WorkloadSpec &w : allWorkloads()) {
         auto warm = TraceArena::global().acquireTrace(w.app, n);
-        ASSERT_TRUE(warm->isMapped()) << w.app.name;
         expectMatchesLive(w.app, warm, n, w.app.name);
     }
     const TraceArena::Stats s = TraceArena::global().stats();
@@ -211,7 +208,6 @@ TEST_F(ArenaPersistTest, FlippedPayloadByteFailsTheChecksum)
     forgetMemory();
     auto warm = TraceArena::global().acquireTrace(app, n);
     EXPECT_EQ(TraceArena::global().stats().fileHits, 1u);
-    EXPECT_TRUE(warm->isMapped());
 }
 
 TEST_F(ArenaPersistTest, StaleFormatVersionIsRejected)
@@ -307,16 +303,6 @@ TEST_F(ArenaPersistTest, DirectApiReportsNoFileOnEmptyDir)
     EXPECT_EQ(r.trace, nullptr);
 }
 
-TEST_F(ArenaPersistTest, SaveRefusesAPartiallyMaterializedTrace)
-{
-    const AppProfile app = allWorkloads().front().app;
-    // A lazily-recording trace with no consumer has zero records
-    // available; spilling it would persist garbage.
-    MaterializedTrace lazy(app, 4096);
-    EXPECT_FALSE(
-        arena_file::save(tmp_.string(), "trace:lazy#4096", lazy));
-}
-
 TEST_F(ArenaPersistTest, SaveIntoMissingDirectoryCreatesIt)
 {
     const AppProfile app = allWorkloads().front().app;
@@ -335,6 +321,5 @@ TEST_F(ArenaPersistTest, UnsetDirDisablesPersistence)
     const TraceArena::Stats s = TraceArena::global().stats();
     EXPECT_EQ(s.fileSpills, 0u);
     EXPECT_EQ(s.fileHits, 0u);
-    EXPECT_FALSE(trace->isMapped());
     EXPECT_TRUE(fs::is_empty(tmp_));
 }

@@ -8,13 +8,13 @@
 
 /**
  * Bench arg-parsing edge cases: duplicate flags, negative or
- * non-numeric `--jobs`, bad `--trace-granularity` / MAB_BENCH_SCALE
- * values, and flags with missing values must produce usage errors
- * instead of being silently clamped, wrapped or atoi'd to 0. The tests
- * target the non-exiting cores (findFlagValue / parseInt64 /
- * parseUint64 / resolveJobs / resolveTraceGranularity /
- * resolveScale); the exiting wrappers print the same message and exit
- * 2.
+ * non-numeric `--jobs`, bad `--trace-granularity` / MAB_BENCH_SCALE /
+ * MAB_TRACE_ARENA_MB values, and flags with missing values must
+ * produce usage errors instead of being silently clamped, wrapped or
+ * atoi'd to 0. The tests target the non-exiting cores (findFlagValue /
+ * parseInt64 / parseUint64 / resolveJobs / resolveTraceGranularity /
+ * resolveScale / resolveArenaBudget); the exiting wrappers print the
+ * same message and exit 2.
  */
 
 namespace mab::bench {
@@ -103,6 +103,8 @@ TEST(StrictParsers, AcceptWholeTokenNumbersOnly)
     EXPECT_EQ(u, UINT64_MAX);
     EXPECT_FALSE(parseUint64("-1", &u));
     EXPECT_FALSE(parseUint64("+1", &u));
+    EXPECT_FALSE(parseUint64(" -1", &u));
+    EXPECT_FALSE(parseUint64(" 1", &u));
     EXPECT_FALSE(parseUint64("1.5", &u));
     EXPECT_FALSE(parseUint64("99999999999999999999999", &u));
 }
@@ -269,6 +271,40 @@ TEST(ResolveScale, NonNumericNonFiniteOrNonPositiveIsAUsageError)
         EXPECT_NE(err.find("usage error"), std::string::npos)
             << "MAB_BENCH_SCALE='" << bad << "': " << err;
         EXPECT_EQ(f, 1.0) << "the out-param stays at the safe default";
+    }
+}
+
+TEST(ResolveArenaBudget, UnsetKeepsTheCurrentBudget)
+{
+    uint64_t bytes = 123;
+    EXPECT_EQ(resolveArenaBudget(nullptr, &bytes), "");
+    EXPECT_EQ(bytes, 123u);
+}
+
+TEST(ResolveArenaBudget, AcceptsWholeMebibytes)
+{
+    uint64_t bytes = 123;
+    EXPECT_EQ(resolveArenaBudget("0", &bytes), "");
+    EXPECT_EQ(bytes, 0u);
+    EXPECT_EQ(resolveArenaBudget("512", &bytes), "");
+    EXPECT_EQ(bytes, 512ull << 20);
+    EXPECT_EQ(resolveArenaBudget("17592186044415", &bytes), "");
+    EXPECT_EQ(bytes, ((1ull << 44) - 1) << 20); // largest that fits
+}
+
+TEST(ResolveArenaBudget, SignsSuffixesAndWrappingValuesAreUsageErrors)
+{
+    for (const char *bad :
+         {"-1", "+5", "512MB", "abc", "", " 5", "1e3", "17592186044416",
+          "18446744073709551615", "18446744073709551616"}) {
+        uint64_t bytes = 123;
+        const std::string err = resolveArenaBudget(bad, &bytes);
+        EXPECT_NE(err.find("MAB_TRACE_ARENA_MB"), std::string::npos)
+            << "'" << bad << "': " << err;
+        EXPECT_NE(err.find(std::string("'") + bad + "'"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(bytes, 123u) << bad;
     }
 }
 

@@ -11,6 +11,7 @@
 #include "core/factory.h"
 #include "core/heuristics.h"
 #include "core/hierarchical.h"
+#include "core/swucb.h"
 #include "core/ucb.h"
 #include "sim/rng.h"
 
@@ -609,6 +610,29 @@ TEST(FixedArm, NeverExploresAndSkipsRoundRobin)
         EXPECT_EQ(policy.selectArm(), 3);
         policy.observeReward(0.0);
     }
+}
+
+TEST(FixedArm, OutOfRangeArmIsRejectedInEveryBuild)
+{
+    // A checked error, so NDEBUG builds cannot construct a policy
+    // whose first selectArm() would write n_[arm] out of bounds.
+    for (ArmId arm : {-1, 5, 6, 1'000'000})
+        EXPECT_THROW((FixedArmPolicy{config(5), arm}),
+                     std::invalid_argument)
+            << "arm " << arm;
+    FixedArmPolicy last(config(5), 4);
+    EXPECT_EQ(last.selectArm(), 4);
+}
+
+TEST(SwUcb, WindowBelowTheArmCountIsRejectedInEveryBuild)
+{
+    // With window < numArms, pending samples are evicted before their
+    // reward arrives, so n_ would grow without bound.
+    for (int window : {-1, 0, 1, 4})
+        EXPECT_THROW((SwUcb{config(5), window}), std::invalid_argument)
+            << "window " << window;
+    SwUcb smallest(config(5), 5);
+    EXPECT_EQ(smallest.window(), 5);
 }
 
 TEST(Factory, MakesEveryAlgorithm)

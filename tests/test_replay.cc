@@ -18,8 +18,8 @@ using namespace mab;
 /**
  * Trace-arena / replay tests: the hard invariant is that replay is
  * byte-identical to live generation — every field of every record,
- * for every workload, across chunk boundaries, after reset(), and
- * regardless of which consumer ends up holding the recorder role.
+ * for every workload, after reset(), and for every thread that
+ * acquires the trace concurrently.
  */
 
 static_assert(sizeof(PackedRecord) == 16,
@@ -109,10 +109,10 @@ TEST(PackedRecord, RejectsOverwidePc)
 }
 
 /** Replay equivalence for every field of every record of every
- *  workload of every suite, crossing at least one chunk boundary. */
+ *  workload of every suite. */
 TEST_F(ReplayTest, ReplayMatchesLiveGenerationForEveryWorkload)
 {
-    const uint64_t n = MaterializedTrace::kChunkRecords + 1000;
+    const uint64_t n = 20'000;
     for (const WorkloadSpec &w : allWorkloads()) {
         SyntheticTrace live(w.app);
         ReplaySource replay(
@@ -132,7 +132,7 @@ TEST_F(ReplayTest, ResetReplaysTheSameRecords)
     const uint64_t n = 5000;
     ReplaySource replay(TraceArena::global().acquireTrace(app, n));
     for (uint64_t i = 0; i < 1234; ++i)
-        replay.next(); // consume partway (source is the recorder)
+        replay.next(); // consume partway
     replay.reset();
     EXPECT_EQ(replay.position(), 0u);
     SyntheticTrace live(app);
@@ -141,31 +141,6 @@ TEST_F(ReplayTest, ResetReplaysTheSameRecords)
         if (HasFatalFailure())
             return;
     }
-}
-
-TEST_F(ReplayTest, RecorderHandoffPreservesTheStream)
-{
-    const AppProfile app = appByName("mcf06");
-    const uint64_t n = 3000;
-    const auto trace = TraceArena::global().acquireTrace(app, n);
-    {
-        ReplaySource first(trace);
-        for (uint64_t i = 0; i < n / 2; ++i)
-            first.next();
-        EXPECT_TRUE(first.recording());
-        // Destroyed mid-trace: the recorder role is released with the
-        // generator parked at the frontier.
-    }
-    ReplaySource second(trace);
-    SyntheticTrace live(app);
-    for (uint64_t i = 0; i < n; ++i) {
-        // First half replays published records; the second half makes
-        // this source claim the role and continue generation.
-        expectSameRecord(live.next(), second.next(), i, "handoff");
-        if (HasFatalFailure())
-            return;
-    }
-    EXPECT_TRUE(second.recording());
 }
 
 TEST_F(ReplayTest, ExhaustionThrowsInsteadOfWrapping)
@@ -177,24 +152,13 @@ TEST_F(ReplayTest, ExhaustionThrowsInsteadOfWrapping)
     EXPECT_THROW(replay.next(), std::runtime_error);
 }
 
-TEST_F(ReplayTest, SameThreadReadPastFrontierThrows)
-{
-    const AppProfile app = appByName("lbm06");
-    const auto trace = TraceArena::global().acquireTrace(app, 1000);
-    ReplaySource recorder(trace);
-    recorder.next(); // becomes the recorder at record 0
-    ASSERT_TRUE(recorder.recording());
-    ReplaySource behind(trace);
-    behind.next(); // published record: fine
-    // Record 1 is past the frontier and the recorder lives on this
-    // very thread — waiting can never succeed, so it must throw.
-    EXPECT_THROW(behind.next(), std::runtime_error);
-}
-
+/** Four threads acquire one workload from a cold arena at once: one
+ *  generates it, the other three wait on the arena's future, and all
+ *  four replay exactly the live stream. */
 TEST_F(ReplayTest, ConcurrentConsumersSeeIdenticalRecords)
 {
     const AppProfile app = appByName("ligra_bfs");
-    const uint64_t n = 2 * MaterializedTrace::kChunkRecords;
+    const uint64_t n = 32'768;
     auto hashOf = [](TraceSource &src, uint64_t count) {
         uint64_t h = 1469598103934665603ull;
         for (uint64_t i = 0; i < count; ++i) {
@@ -216,13 +180,13 @@ TEST_F(ReplayTest, ConcurrentConsumersSeeIdenticalRecords)
     SyntheticTrace live(app);
     const uint64_t expected = hashOf(live, n);
 
-    const auto trace = TraceArena::global().acquireTrace(app, n);
     std::vector<uint64_t> hashes(4, 0);
     {
         std::vector<std::thread> threads;
         for (size_t t = 0; t < hashes.size(); ++t)
             threads.emplace_back([&, t] {
-                ReplaySource src(trace);
+                ReplaySource src(
+                    TraceArena::global().acquireTrace(app, n));
                 hashes[t] = hashOf(src, n);
             });
         for (auto &th : threads)
@@ -230,6 +194,23 @@ TEST_F(ReplayTest, ConcurrentConsumersSeeIdenticalRecords)
     }
     for (size_t t = 0; t < hashes.size(); ++t)
         EXPECT_EQ(hashes[t], expected) << "consumer " << t;
+    const TraceArena::Stats s = TraceArena::global().stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 3u);
+    EXPECT_EQ(s.entries, 1u);
+}
+
+/** A cold in-memory acquire returns the whole trace: every record is
+ *  resident and its generation time is counted. */
+TEST_F(ReplayTest, ColdAcquireMaterializesTheWholeTrace)
+{
+    const uint64_t n = 50'000;
+    const auto trace =
+        TraceArena::global().acquireTrace(appByName("mcf06"), n);
+    EXPECT_EQ(trace->bytes(), n * sizeof(PackedRecord));
+    const TraceArena::Stats s = TraceArena::global().stats();
+    EXPECT_EQ(s.bytes, n * sizeof(PackedRecord));
+    EXPECT_GT(s.genMs, 0.0);
 }
 
 TEST_F(ReplayTest, ArenaCountsHitsAndMisses)
@@ -262,12 +243,8 @@ TEST_F(ReplayTest, ArenaEvictsLeastRecentlyUsedOverBudget)
     arena.setBudgetBytes(n * sizeof(PackedRecord));
 
     const char *apps[] = {"lbm06", "mcf06", "gcc06"};
-    for (const char *name : apps) {
-        ReplaySource src(
-            arena.acquireTrace(appByName(name), n));
-        for (uint64_t i = 0; i < n; ++i)
-            src.next(); // materialize fully so bytes() is real
-    }
+    for (const char *name : apps)
+        arena.acquireTrace(appByName(name), n);
     const TraceArena::Stats s = arena.stats();
     EXPECT_GE(s.evictions, 1u);
     EXPECT_LE(s.entries, 2u);
@@ -295,7 +272,7 @@ TEST_F(ReplayTest, DisabledArenaFallsBackToLiveGeneration)
 TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
 {
     const AppProfile app = appByName("mcf06");
-    const uint64_t instr = 30000; // > one chunk
+    const uint64_t instr = 30000;
     auto runOnce = [&] {
         StridePrefetcher pf(64, 1);
         const auto trace = makeRunSource(app, instr);
@@ -305,12 +282,12 @@ TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
             core.cycles(), core.hierarchy().llcDemandMisses(),
             core.hierarchy().prefetchStats().issued);
     };
-    const auto recorded = runOnce(); // arena miss: records while running
-    const auto replayed = runOnce(); // arena hit: pure replay
+    const auto generated = runOnce(); // arena miss: generates, replays
+    const auto replayed = runOnce();  // arena hit: pure replay
     TraceArena::global().setEnabled(false);
     const auto live = runOnce(); // pre-arena behavior
 
-    EXPECT_EQ(recorded, live);
+    EXPECT_EQ(generated, live);
     EXPECT_EQ(replayed, live);
     TraceArena::global().setEnabled(true);
 }
