@@ -2,9 +2,9 @@
  * @file
  * Differential-fuzzing driver (sim/fuzz.h): random-but-valid cache op
  * streams, bandit rollouts, end-to-end CoreModel runs, SMT pipeline
- * runs and sweep grids, each derived from a replayable uint64 seed,
- * checked against naive reference models and structural property
- * checks.
+ * runs, sweep grids and prefetcher access streams, each derived from
+ * a replayable uint64 seed, checked against naive reference models and
+ * structural property checks.
  *
  *   bench_fuzz                          200 iterations from seed 1
  *   bench_fuzz --iters 1000 --seed 7    fixed-budget campaign
@@ -13,11 +13,11 @@
  *   bench_fuzz --replay <seed> --shrink ...and minimize the witness
  *   bench_fuzz --domain drift           restrict to one oracle domain
  *                                       (cache, bandit, sim, replay,
- *                                       drift, smt, sweep)
+ *                                       drift, smt, sweep, prefetch)
  *   bench_fuzz --self-test              prove the harness catches
- *                                       planted cache and SMT
- *                                       skip-ahead bugs and shrinks
- *                                       them to short repros
+ *                                       planted cache, SMT skip-ahead
+ *                                       and prefetcher bugs and
+ *                                       shrinks them to short repros
  *
  * Exit codes: 0 = all checks passed, 1 = mismatch or property
  * violation (repro lines printed), 2 = usage error.
@@ -52,21 +52,22 @@ printSummary(const fuzz::FuzzReport &report)
                 " cache, %" PRIu64 " bandit, %" PRIu64
                 " sim, %" PRIu64 " replay, %" PRIu64
                 " drift, %" PRIu64 " smt, %" PRIu64
-                " sweep cases), %zu failure(s)\n",
+                " sweep, %" PRIu64
+                " prefetch cases), %zu failure(s)\n",
                 report.iterations, report.cacheCases,
                 report.banditCases, report.simCases,
                 report.replayCases, report.driftCases,
                 report.smtCases, report.sweepCases,
-                report.failures.size());
+                report.prefetchCases, report.failures.size());
 }
 
 /**
- * Harness self-test: every planted cache mutation and every planted
- * SMT skip-ahead fault must be caught by the differential loop within
- * a bounded number of case seeds, and the shrinker must reduce the
- * witness to a short repro. This is the standing proof that a real
- * regression in the single-pass fill probe or the dead-cycle skip
- * would be noticed.
+ * Harness self-test: every planted cache mutation, SMT skip-ahead
+ * fault and prefetcher fault must be caught by the differential loop
+ * within a bounded number of case seeds, and the shrinker must reduce
+ * the witness to a short repro. This is the standing proof that a
+ * real regression in the single-pass fill probe, the dead-cycle skip
+ * or the prefetchers' tracker index, LRU and argmax would be noticed.
  */
 int
 runSelfTest(uint64_t seed_base)
@@ -121,6 +122,36 @@ runSelfTest(uint64_t seed_base)
                 std::printf("  ERROR: shrunk repro exceeds %" PRIu64
                             " cycles\n",
                             kMaxShrunkCycles);
+                ok = false;
+            }
+        }
+        if (!caught) {
+            std::printf("mutant %-28s NOT caught in %d seeds\n",
+                        fuzz::toString(m), kMaxSeeds);
+            ok = false;
+        }
+    }
+    constexpr size_t kMaxShrunkPrefetchOps = 40;
+    for (const fuzz::PrefetchMutation m : fuzz::allPrefetchMutations()) {
+        const fuzz::PrefetchModelFactory mutant =
+            fuzz::referencePrefetchFactory(m);
+        bool caught = false;
+        for (int i = 0; i < kMaxSeeds && !caught; ++i) {
+            const uint64_t cs = fuzz::iterationSeed(seed_base, i);
+            const fuzz::PrefetchCase c =
+                fuzz::genPrefetchCase(fuzz::subSeed(cs, 7));
+            if (fuzz::diffPrefetchCase(c, mutant).empty())
+                continue;
+            caught = true;
+            const fuzz::PrefetchCase min =
+                fuzz::shrinkPrefetchCase(c, mutant);
+            std::printf("mutant %-28s caught at seed #%d, "
+                        "shrunk %zu -> %zu ops\n",
+                        fuzz::toString(m), i, c.ops.size(),
+                        min.ops.size());
+            if (min.ops.size() > kMaxShrunkPrefetchOps) {
+                std::printf("  ERROR: shrunk repro exceeds %zu ops\n",
+                            kMaxShrunkPrefetchOps);
                 ok = false;
             }
         }
@@ -197,14 +228,16 @@ main(int argc, char **argv)
         return usageError(err);
     if (v) {
         static const char *const kDomains[] = {
-            "cache", "bandit", "sim", "replay", "drift", "smt", "sweep"};
+            "cache", "bandit", "sim",   "replay",
+            "drift", "smt",    "sweep", "prefetch"};
         bool known = false;
         for (const char *d : kDomains)
             known = known || std::strcmp(v, d) == 0;
         if (!known)
             return usageError(
                 std::string("usage error: unknown --domain '") + v +
-                "' (cache, bandit, sim, replay, drift, smt, sweep)");
+                "' (cache, bandit, sim, replay, drift, smt, sweep, "
+                "prefetch)");
         opt.domain = v;
     }
 

@@ -11,7 +11,10 @@
  *     run loop (BM_CoreStep*),
  *   - the SMT pipeline kernel: dead-cycle skip-ahead, ring buffers,
  *     the count calendar, the inlined per-cycle loop and cached gate
- *     limits (BM_SmtPipelineRun/ICount and /Choi).
+ *     limits (BM_SmtPipelineRun/ICount and /Choi),
+ *   - the prefetchers' training path: indexed tracker tables, the
+ *     allocation-free Pythia and MLOP's in-order retrain
+ *     (BM_PrefetcherOnAccess/<prefetcher>/<app>).
  *
  * Counters: "ns/access" is wall time per simulated cache access (or
  * per instruction for core-level benches). Compare before/after with
@@ -19,13 +22,20 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "core/ducb.h"
 #include "core/swucb.h"
 #include "cpu/bandit_prefetch.h"
 #include "cpu/core_model.h"
 #include "memory/cache.h"
+#include "prefetch/bingo.h"
+#include "prefetch/mlop.h"
+#include "prefetch/pythia.h"
+#include "prefetch/stream.h"
 #include "prefetch/stride.h"
 #include "sim/rng.h"
 #include "smt/pipeline.h"
@@ -410,5 +420,120 @@ BM_SmtPipelineRun(benchmark::State &state, const PgPolicy &policy)
 BENCHMARK_CAPTURE(BM_SmtPipelineRun, ICount, icountPolicy())
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_SmtPipelineRun, Choi, choiPolicy())->UseRealTime();
+
+namespace {
+
+/** Records every access the core offers its L2 prefetcher. */
+class AccessRecorder final : public Prefetcher
+{
+  public:
+    explicit AccessRecorder(std::vector<PrefetchAccess> &out) : out_(out) {}
+
+    void
+    onAccess(const PrefetchAccess &access, std::vector<uint64_t> &) override
+    {
+        out_.push_back(access);
+    }
+
+    std::string name() const override { return "Recorder"; }
+    uint64_t storageBytes() const override { return 0; }
+    void reset() override {}
+
+  private:
+    std::vector<PrefetchAccess> &out_;
+};
+
+/** The first 2^16 L2 demand accesses of @p app with no prefetcher
+ *  (default core and hierarchy), recorded once per app. */
+const std::vector<PrefetchAccess> &
+recordedL2Accesses(const std::string &app)
+{
+    static std::map<std::string, std::vector<PrefetchAccess>> cache;
+    std::vector<PrefetchAccess> &acc = cache[app];
+    if (!acc.empty())
+        return acc;
+    constexpr size_t kAccesses = 1 << 16;
+    SyntheticTrace trace(appByName(app));
+    AccessRecorder rec(acc);
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &rec);
+    for (uint64_t target = 100'000;
+         acc.size() < kAccesses && target <= 100'000'000;
+         target += 100'000)
+        core.run(target);
+    acc.resize(std::min(acc.size(), kAccesses));
+    return acc;
+}
+
+/**
+ * Prefetcher::onAccess alone, replaying a recorded L2 access stream:
+ * the per-call training cost each prefetcher adds to every L2 demand
+ * access. Each replay pass shifts cycles and instruction counts past
+ * the previous one, so time keeps moving forward for the Bandit's
+ * agent and Pythia's evaluation queue.
+ */
+void
+BM_PrefetcherOnAccess(benchmark::State &state,
+                      const std::function<std::unique_ptr<Prefetcher>()> &make,
+                      const std::string &app)
+{
+    const std::vector<PrefetchAccess> &accesses = recordedL2Accesses(app);
+    if (accesses.empty()) {
+        state.SkipWithError("no L2 accesses recorded");
+        return;
+    }
+    const std::unique_ptr<Prefetcher> pf = make();
+    const uint64_t cycle_span = accesses.back().cycle + 1;
+    const uint64_t instr_span = accesses.back().instrCount + 1;
+    std::vector<uint64_t> out;
+    size_t i = 0;
+    uint64_t pass = 0;
+    for (auto _ : state) {
+        PrefetchAccess a = accesses[i];
+        a.cycle += pass * cycle_span;
+        a.instrCount += pass * instr_span;
+        if (++i == accesses.size()) {
+            i = 0;
+            ++pass;
+        }
+        out.clear();
+        pf->onAccess(a, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["ns/call"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+const bool kPrefetcherBenchmarksRegistered = [] {
+    const std::pair<const char *,
+                    std::function<std::unique_ptr<Prefetcher>()>>
+        prefetchers[] = {
+            {"Stream", [] { return std::make_unique<StreamPrefetcher>(); }},
+            {"Stride",
+             [] { return std::make_unique<StridePrefetcher>(64, 1); }},
+            {"Bingo", [] { return std::make_unique<BingoPrefetcher>(); }},
+            {"MLOP", [] { return std::make_unique<MlopPrefetcher>(); }},
+            {"Pythia", [] { return std::make_unique<PythiaPrefetcher>(); }},
+            {"Bandit",
+             [] { return std::make_unique<BanditPrefetchController>(); }},
+        };
+    for (const auto &[name, make] : prefetchers) {
+        for (const char *app : {"xalancbmk17", "mcf17"}) {
+            benchmark::RegisterBenchmark(
+                (std::string("BM_PrefetcherOnAccess/") + name + "/" + app)
+                    .c_str(),
+                [make = make, app = std::string(app)](
+                    benchmark::State &state) {
+                    BM_PrefetcherOnAccess(state, make, app);
+                })
+                ->UseRealTime();
+        }
+    }
+    return true;
+}();
+
+} // namespace
 
 BENCHMARK_MAIN();

@@ -156,6 +156,25 @@ resolveArenaBudget(const char *env, uint64_t *out)
     return "";
 }
 
+/**
+ * Testable core of the trace-arena switch: MAB_TRACE_ARENA in @p env,
+ * `0` (off) or `1` (on); @p out keeps its value when @p env is unset.
+ * Anything else is a usage error, so `off` or `false` cannot silently
+ * leave the arena on.
+ */
+inline std::string
+resolveArenaEnabled(const char *env, bool *out)
+{
+    if (!env)
+        return "";
+    if (std::strcmp(env, "0") != 0 && std::strcmp(env, "1") != 0)
+        return std::string("usage error: MAB_TRACE_ARENA needs 0 or 1, "
+                           "got '") +
+            env + "'";
+    *out = env[0] == '1';
+    return "";
+}
+
 /** Global run-length multiplier (MAB_BENCH_SCALE, default 1.0); an
  *  invalid value exits 2. */
 inline double
@@ -465,6 +484,9 @@ resolveTraceGranularity(int argc, char **argv, const char *env,
  *     MAB_PROFILE=1                       phase profiler only (adds
  *                                         the "profile" subtree to
  *                                         --json reports)
+ *     --no-trace-cache / MAB_TRACE_ARENA=0
+ *                                         trace arena off (the variable
+ *                                         takes 0 or 1)
  *     MAB_TRACE_ARENA_MB=<MiB>            trace-arena byte budget
  *                                         (default 512)
  *
@@ -476,14 +498,17 @@ class TracingSession
   public:
     TracingSession(int argc, char **argv)
     {
-        // Valueless flag, so scanned directly (argValue consumes the
-        // token after the flag). MAB_TRACE_ARENA=0 is parsed by the
-        // arena itself on first use.
         TraceArena &arena = TraceArena::global();
+        bool arena_on = arena.enabled();
+        exitOnUsageError(resolveArenaEnabled(
+            std::getenv("MAB_TRACE_ARENA"), &arena_on));
+        // Valueless flag, so scanned directly (argValue consumes the
+        // token after the flag); it wins over MAB_TRACE_ARENA=1.
         for (int i = 1; i < argc; ++i) {
             if (std::strcmp(argv[i], "--no-trace-cache") == 0)
-                arena.setEnabled(false);
+                arena_on = false;
         }
+        arena.setEnabled(arena_on);
         uint64_t budget = arena.budgetBytes();
         exitOnUsageError(resolveArenaBudget(
             std::getenv("MAB_TRACE_ARENA_MB"), &budget));

@@ -50,7 +50,11 @@ class BanditPrefetchController final : public Prefetcher
     explicit BanditPrefetchController(
         const BanditPrefetchConfig &config = {});
 
-    /** Construct with a caller-built policy (custom algorithms). */
+    /**
+     * Construct with a caller-built policy (custom algorithms).
+     * @throws std::invalid_argument unless the policy has one arm per
+     *         ensemble configuration (numArms() == 11)
+     */
     BanditPrefetchController(std::unique_ptr<MabPolicy> policy,
                              const BanditHwConfig &hw);
 

@@ -1,6 +1,8 @@
 #include "prefetch/bingo.h"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
@@ -17,16 +19,44 @@ hashMix(uint64_t x)
     return x;
 }
 
+uint64_t
+checkedRegionBytes(uint64_t region_bytes)
+{
+    if (!std::has_single_bit(region_bytes) || region_bytes < kLineBytes ||
+        region_bytes > 64 * kLineBytes)
+        throw std::invalid_argument(
+            "BingoPrefetcher region_bytes must be a power of two in "
+            "[64, 4096], got " +
+            std::to_string(region_bytes));
+    return region_bytes;
+}
+
+size_t
+checkedHistoryEntries(int history_entries)
+{
+    if (history_entries < 4 || history_entries % 4 != 0 ||
+        !std::has_single_bit(static_cast<unsigned>(history_entries / 4)))
+        throw std::invalid_argument(
+            "BingoPrefetcher history_entries must be 4 times a power "
+            "of two, got " +
+            std::to_string(history_entries));
+    return static_cast<size_t>(history_entries);
+}
+
 } // namespace
 
 BingoPrefetcher::BingoPrefetcher(uint64_t region_bytes,
                                  int accumulation_entries,
                                  int history_entries)
-    : regionBytes_(region_bytes),
-      linesPerRegion_(static_cast<int>(region_bytes / kLineBytes)),
-      accTable_(accumulation_entries), histTable_(history_entries)
+    : regionShift_(std::countr_zero(checkedRegionBytes(region_bytes))),
+      lineMask_(region_bytes == 64 * kLineBytes
+                    ? ~0ull
+                    : (1ull << (region_bytes / kLineBytes)) - 1),
+      setMask_(checkedHistoryEntries(history_entries) / 4 - 1),
+      accIndex_(accumulation_entries, "BingoPrefetcher accumulation table"),
+      accTable_(static_cast<size_t>(accIndex_.size())),
+      histTable_(static_cast<size_t>(history_entries))
 {
-    assert(linesPerRegion_ > 0 && linesPerRegion_ <= 64);
 }
 
 uint64_t
@@ -43,9 +73,18 @@ BingoPrefetcher::reset()
 {
     for (auto &a : accTable_)
         a = Accumulation{};
+    accIndex_.clear();
     for (auto &h : histTable_)
         h = History{};
     useTick_ = 0;
+}
+
+std::vector<TrackerTag>
+BingoPrefetcher::trackerTags() const
+{
+    return accIndex_.tags([this](int i) {
+        return accTable_[i].regionBase >> regionShift_;
+    });
 }
 
 uint64_t
@@ -64,12 +103,10 @@ const BingoPrefetcher::History *
 BingoPrefetcher::findHistory(uint64_t key) const
 {
     // 4-way set-associative lookup.
-    const size_t sets = histTable_.size() / 4;
-    const size_t set = key % sets;
+    const History *set = &histTable_[(key & setMask_) * 4];
     for (int w = 0; w < 4; ++w) {
-        const History &h = histTable_[set * 4 + w];
-        if (h.valid && h.key == key)
-            return &h;
+        if (set[w].valid && set[w].key == key)
+            return &set[w];
     }
     return nullptr;
 }
@@ -77,11 +114,10 @@ BingoPrefetcher::findHistory(uint64_t key) const
 void
 BingoPrefetcher::storeHistory(uint64_t key, uint64_t footprint)
 {
-    const size_t sets = histTable_.size() / 4;
-    const size_t set = key % sets;
-    History *victim = &histTable_[set * 4];
+    History *set = &histTable_[(key & setMask_) * 4];
+    History *victim = set;
     for (int w = 0; w < 4; ++w) {
-        History &h = histTable_[set * 4 + w];
+        History &h = set[w];
         if (h.valid && h.key == key) {
             h.footprint = footprint;
             h.lastUse = ++useTick_;
@@ -100,24 +136,31 @@ BingoPrefetcher::storeHistory(uint64_t key, uint64_t footprint)
 }
 
 void
-BingoPrefetcher::closeGeneration(Accumulation &acc)
+BingoPrefetcher::closeGeneration(const Accumulation &acc)
 {
-    if (!acc.valid)
-        return;
     // Record under both the precise (PC + offset) and the fallback
     // (PC-only) events, as in Bingo's multi-lookup.
     storeHistory(keyLong(acc.triggerPc, acc.triggerOffset),
                  acc.footprint);
     storeHistory(keyShort(acc.triggerPc), acc.footprint);
-    acc.valid = false;
+}
+
+void
+BingoPrefetcher::emitLines(uint64_t region_base, uint64_t lines,
+                           std::vector<uint64_t> &out) const
+{
+    for (lines &= lineMask_; lines; lines &= lines - 1)
+        out.push_back(region_base +
+                      static_cast<uint64_t>(std::countr_zero(lines)) *
+                          kLineBytes);
 }
 
 void
 BingoPrefetcher::onAccess(const PrefetchAccess &access,
                           std::vector<uint64_t> &out)
 {
-    const uint64_t region = access.addr / regionBytes_;
-    const uint64_t region_base = region * regionBytes_;
+    const uint64_t region = access.addr >> regionShift_;
+    const uint64_t region_base = region << regionShift_;
     const int offset = static_cast<int>(
         (access.addr - region_base) / kLineBytes);
 
@@ -125,28 +168,20 @@ BingoPrefetcher::onAccess(const PrefetchAccess &access,
     // accessed lines of the recorded footprint: this recovers
     // prefetches dropped on full queues and tracks the region as the
     // program walks it (duplicates are filtered at the L2).
-    for (auto &acc : accTable_) {
-        if (acc.valid && acc.regionBase == region_base) {
-            acc.footprint |= 1ull << offset;
-            acc.lastUse = ++useTick_;
-            const History *h =
-                findHistory(keyLong(acc.triggerPc, acc.triggerOffset));
-            if (!h)
-                h = findHistory(keyShort(acc.triggerPc));
-            if (h) {
-                const uint64_t remaining =
-                    h->footprint & ~acc.footprint;
-                for (int line_i = 0; line_i < linesPerRegion_;
-                     ++line_i) {
-                    if (remaining & (1ull << line_i))
-                        out.push_back(
-                            region_base +
-                            static_cast<uint64_t>(line_i) *
-                                kLineBytes);
-                }
-            }
-            return;
-        }
+    const int open = TrackerIndex::first(
+        accIndex_.candidates(region),
+        [&](int i) { return accTable_[i].regionBase == region_base; });
+    if (open >= 0) {
+        Accumulation &acc = accTable_[open];
+        acc.footprint |= 1ull << offset;
+        accIndex_.touch(open);
+        const History *h =
+            findHistory(keyLong(acc.triggerPc, acc.triggerOffset));
+        if (!h)
+            h = findHistory(keyShort(acc.triggerPc));
+        if (h)
+            emitLines(region_base, h->footprint & ~acc.footprint, out);
+        return;
     }
 
     // Trigger access of a new generation: look up the history and
@@ -154,33 +189,15 @@ BingoPrefetcher::onAccess(const PrefetchAccess &access,
     const History *hist = findHistory(keyLong(access.pc, offset));
     if (!hist)
         hist = findHistory(keyShort(access.pc));
-    if (hist) {
-        for (int line = 0; line < linesPerRegion_; ++line) {
-            if (line == offset)
-                continue;
-            if (hist->footprint & (1ull << line))
-                out.push_back(region_base +
-                              static_cast<uint64_t>(line) * kLineBytes);
-        }
-    }
+    if (hist)
+        emitLines(region_base, hist->footprint & ~(1ull << offset), out);
 
     // Open a new accumulation entry (evicting the LRU generation).
-    Accumulation *victim = &accTable_[0];
-    for (auto &acc : accTable_) {
-        if (!acc.valid) {
-            victim = &acc;
-            break;
-        }
-        if (acc.lastUse < victim->lastUse)
-            victim = &acc;
-    }
-    closeGeneration(*victim);
-    victim->valid = true;
-    victim->regionBase = region_base;
-    victim->triggerPc = access.pc;
-    victim->triggerOffset = offset;
-    victim->footprint = 1ull << offset;
-    victim->lastUse = ++useTick_;
+    const int victim = accIndex_.victimLowestFree();
+    if (accIndex_.inUse(victim))
+        closeGeneration(accTable_[victim]);
+    accTable_[victim] = {region_base, access.pc, offset, 1ull << offset};
+    accIndex_.assign(victim, region);
 }
 
 } // namespace mab

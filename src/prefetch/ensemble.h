@@ -43,13 +43,19 @@ class BanditEnsemblePrefetcher final : public Prefetcher
     uint64_t storageBytes() const override;
     void reset() override;
 
-    /** Program the ensemble with arm @p arm (0..10, Table 7). */
+    /**
+     * Program the ensemble with arm @p arm (0..10, Table 7).
+     * @throws std::invalid_argument for an arm outside [0, numArms())
+     */
     void applyArm(ArmId arm);
 
     /** Number of arms in the action space. */
     static int numArms();
 
     ArmId currentArm() const { return currentArm_; }
+
+    const StreamPrefetcher &stream() const { return stream_; }
+    const StridePrefetcher &stride() const { return stride_; }
 
   private:
     NextLinePrefetcher nextLine_;

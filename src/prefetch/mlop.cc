@@ -8,7 +8,7 @@ namespace mab {
 
 MlopPrefetcher::MlopPrefetcher(int levels, int history, int epoch)
     : levels_(levels), epoch_(epoch), history_(history, 0),
-      chosen_(levels, 0)
+      ordered_(history, 0), chosen_(levels, 0)
 {
 }
 
@@ -34,19 +34,22 @@ MlopPrefetcher::reset()
 void
 MlopPrefetcher::retrain()
 {
+    // Copy the ring into age order once, so every level reads the
+    // access k steps back as a plain index.
+    const size_t n = histFill_;
+    const size_t oldest = (histPos_ + history_.size() - n) % history_.size();
+    std::rotate_copy(history_.begin(),
+                     history_.begin() + static_cast<std::ptrdiff_t>(oldest),
+                     history_.end(), ordered_.begin());
+
     // For each lookahead level k, histogram the line delta between
     // accesses k apart and select the dominant offset.
-    const size_t n = histFill_;
     for (int k = 1; k <= levels_; ++k) {
         std::array<int, 2 * kMaxOffset + 1> hist{};
         int samples = 0;
         for (size_t t = static_cast<size_t>(k); t < n; ++t) {
-            const size_t cur = (histPos_ + history_.size() - n + t) %
-                history_.size();
-            const size_t prev = (cur + history_.size() -
-                                 static_cast<size_t>(k)) %
-                history_.size();
-            const int64_t delta = history_[cur] - history_[prev];
+            const int64_t delta =
+                ordered_[t] - ordered_[t - static_cast<size_t>(k)];
             if (delta != 0 && delta >= -kMaxOffset &&
                 delta <= kMaxOffset) {
                 ++hist[delta + kMaxOffset];
@@ -84,7 +87,8 @@ MlopPrefetcher::onAccess(const PrefetchAccess &access,
         static_cast<int64_t>(lineAddr(access.addr) / kLineBytes);
 
     history_[histPos_] = line;
-    histPos_ = (histPos_ + 1) % history_.size();
+    if (++histPos_ == history_.size())
+        histPos_ = 0;
     histFill_ = std::min(histFill_ + 1, history_.size());
 
     if (++accessesSinceTrain_ >= epoch_) {

@@ -35,6 +35,7 @@ class MlopPrefetcher final : public Prefetcher
 
     /** Offset chosen for lookahead level @p level (0 = none). */
     int levelOffset(int level) const { return chosen_[level]; }
+    int levels() const { return levels_; }
 
   private:
     static constexpr int kMaxOffset = 31;
@@ -44,6 +45,7 @@ class MlopPrefetcher final : public Prefetcher
     int levels_;
     int epoch_;
     std::vector<int64_t> history_; // ring buffer of line numbers
+    std::vector<int64_t> ordered_; // retrain buffer: oldest first
     size_t histPos_ = 0;
     size_t histFill_ = 0;
     int accessesSinceTrain_ = 0;

@@ -3,9 +3,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
@@ -78,10 +76,17 @@ struct PythiaConfig
  * lines before the entry retires, and a bandwidth-scaled penalty
  * otherwise. Updates follow the SARSA rule using the next retired
  * entry as (s', a').
+ *
+ * The per-access path allocates nothing: the evaluation queue is a
+ * fixed ring whose entries hold their predicted lines inline, and the
+ * line -> decision map is an open-addressed table sized for the most
+ * lines the queue can hold.
  */
 class PythiaPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument for planeEntries < 1 or
+     *          eqDepth < 0 */
     explicit PythiaPrefetcher(const PythiaConfig &config = {});
 
     void onAccess(const PrefetchAccess &access,
@@ -98,6 +103,9 @@ class PythiaPrefetcher final : public Prefetcher
     static const std::array<int, 4> &degrees();
 
     static constexpr int kNumActions = 64;
+
+    /** Largest degree: the most lines one decision predicts. */
+    static constexpr int kMaxDegree = 6;
 
     /**
      * Install a DRAM bandwidth probe: called with the current cycle,
@@ -139,23 +147,67 @@ class PythiaPrefetcher final : public Prefetcher
         uint64_t issueCycle = 0;
         int timelyHits = 0;
         int lateHits = 0;
-        std::vector<uint64_t> predictedLines;
+        int numLines = 0;
+        uint64_t predictedLines[kMaxDegree] = {};
+    };
+
+    /**
+     * Predicted line -> id of the in-flight decision credited with it.
+     * Linear probing with backward-shift deletion (no tombstones);
+     * never more than half full.
+     */
+    class PendingMap
+    {
+      public:
+        static constexpr size_t kNotFound = ~size_t{0};
+
+        explicit PendingMap(size_t maxEntries);
+
+        /** Slot of @p line, or kNotFound. */
+        size_t find(uint64_t line) const;
+        uint32_t id(size_t slot) const { return slots_[slot].id; }
+        /** Store @p id for @p line unless it is present; true when
+         *  stored. */
+        bool insertIfAbsent(uint64_t line, uint32_t id);
+        void erase(size_t slot);
+        void clear();
+
+      private:
+        static constexpr uint64_t kEmpty = ~0ull; // never a line number
+
+        struct Slot
+        {
+            uint64_t line = kEmpty;
+            uint32_t id = 0;
+        };
+
+        size_t home(uint64_t line) const
+        {
+            return (line * 0x9E3779B97F4A7C15ull) >> shift_;
+        }
+
+        std::vector<Slot> slots_;
+        size_t mask_;
+        int shift_;
     };
 
     int featurePc(uint64_t pc) const;
     int featureDeltas() const;
     int selectAction(int f0, int f1);
     void retireOldest();
+    EqEntry &eqAt(size_t age);
 
     PythiaConfig config_;
     Rng rng_;
     std::vector<double> q0_; // [planeEntries x kNumActions]
     std::vector<double> q1_;
 
-    std::deque<EqEntry> eq_;
-    std::unordered_map<uint64_t, int> pending_; // line -> eq age id
-    int eqNextId_ = 0;
-    int eqBaseId_ = 0;
+    std::vector<EqEntry> eq_; // ring of eqDepth + 1 entries
+    size_t eqHead_ = 0;       // oldest entry
+    size_t eqSize_ = 0;
+    PendingMap pending_;
+    uint32_t eqNextId_ = 0;
+    uint32_t eqBaseId_ = 0; // id of the oldest entry
 
     int64_t lastLine_ = 0;
     int64_t delta1_ = 0;

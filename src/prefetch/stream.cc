@@ -14,10 +14,23 @@ constexpr int64_t kMatchWindow = 4;
 /** Confirmations before a stream starts prefetching. */
 constexpr int kTrainThreshold = 2;
 
+/** Index key of a line: its 8-line bucket. A window of 2 * 4 + 1
+ *  lines always spans exactly two buckets. */
+constexpr int kBucketShift = 3;
+static_assert(2 * kMatchWindow + 1 > (1 << kBucketShift) &&
+              2 * kMatchWindow + 1 <= 2 * (1 << kBucketShift));
+
+uint64_t
+bucketOf(int64_t line)
+{
+    return static_cast<uint64_t>(line >> kBucketShift);
+}
+
 } // namespace
 
 StreamPrefetcher::StreamPrefetcher(int num_trackers)
-    : trackers_(num_trackers)
+    : index_(num_trackers, "StreamPrefetcher"),
+      trackers_(static_cast<size_t>(index_.size()))
 {
 }
 
@@ -33,7 +46,13 @@ StreamPrefetcher::reset()
 {
     for (auto &t : trackers_)
         t = Tracker{};
-    useTick_ = 0;
+    index_.clear();
+}
+
+std::vector<TrackerTag>
+StreamPrefetcher::trackerTags() const
+{
+    return index_.tags([this](int i) { return trackers_[i].lastLine; });
 }
 
 void
@@ -43,39 +62,34 @@ StreamPrefetcher::onAccess(const PrefetchAccess &access,
     const int64_t line =
         static_cast<int64_t>(lineAddr(access.addr) / kLineBytes);
 
-    Tracker *match = nullptr;
-    Tracker *victim = &trackers_[0];
-    for (auto &t : trackers_) {
-        if (!t.valid) {
-            victim = &t;
-            continue;
-        }
+    // Every tracker within the window sits in one of the two buckets
+    // the window spans; the lowest qualifying index wins.
+    const int match = TrackerIndex::first(
+        index_.candidates(bucketOf(line - kMatchWindow)) |
+            index_.candidates(bucketOf(line + kMatchWindow)),
+        [&](int i) {
+            const int64_t delta =
+                line - static_cast<int64_t>(trackers_[i].lastLine);
+            return delta != 0 && std::llabs(delta) <= kMatchWindow;
+        });
+
+    if (match >= 0) {
+        Tracker &t = trackers_[match];
         const int64_t delta = line - static_cast<int64_t>(t.lastLine);
-        if (delta != 0 && std::llabs(delta) <= kMatchWindow) {
-            match = &t;
-            break;
-        }
-        if (victim->valid && t.lastUse < victim->lastUse)
-            victim = &t;
-    }
-
-    if (match) {
-        const int64_t delta =
-            line - static_cast<int64_t>(match->lastLine);
         const int dir = delta > 0 ? 1 : -1;
-        if (match->direction == dir) {
-            ++match->confidence;
+        if (t.direction == dir) {
+            ++t.confidence;
         } else {
-            match->direction = dir;
-            match->confidence = 1;
+            t.direction = dir;
+            t.confidence = 1;
         }
-        match->lastLine = static_cast<uint64_t>(line);
-        match->lastUse = ++useTick_;
+        t.lastLine = static_cast<uint64_t>(line);
+        index_.assign(match, bucketOf(line));
 
-        if (degree_ > 0 && match->confidence >= kTrainThreshold) {
+        if (degree_ > 0 && t.confidence >= kTrainThreshold) {
             for (int i = 1; i <= degree_; ++i) {
-                const int64_t target = line + static_cast<int64_t>(i) *
-                    match->direction;
+                const int64_t target =
+                    line + static_cast<int64_t>(i) * t.direction;
                 if (target > 0)
                     out.push_back(static_cast<uint64_t>(target) *
                                   kLineBytes);
@@ -85,11 +99,9 @@ StreamPrefetcher::onAccess(const PrefetchAccess &access,
     }
 
     // Allocate a fresh tracker for a potential new stream.
-    victim->valid = true;
-    victim->lastLine = static_cast<uint64_t>(line);
-    victim->direction = 0;
-    victim->confidence = 0;
-    victim->lastUse = ++useTick_;
+    const int victim = index_.victimHighestFree();
+    trackers_[victim] = {static_cast<uint64_t>(line), 0, 0};
+    index_.assign(victim, bucketOf(line));
 }
 
 } // namespace mab

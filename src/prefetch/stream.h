@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tracker_index.h"
 
 namespace mab {
 
@@ -14,10 +15,17 @@ namespace mab {
  * prefetcher runs @c degree lines ahead of the demand stream. Degree 0
  * turns the prefetcher off; the Bandit programs the degree through a
  * programmable register (Section 5.2).
+ *
+ * An access extends the lowest-index tracker whose last line lies
+ * within 4 lines of it (and is not the same line); with none, it
+ * allocates the highest free tracker, or the least recently used one
+ * when all are in use. A TrackerIndex keyed by 8-line buckets finds
+ * the candidates without scanning the table.
  */
 class StreamPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument unless 1 <= num_trackers <= 64 */
     explicit StreamPrefetcher(int num_trackers = 64);
 
     void onAccess(const PrefetchAccess &access,
@@ -31,19 +39,20 @@ class StreamPrefetcher final : public Prefetcher
     void setDegree(int degree) { degree_ = degree; }
     int degree() const { return degree_; }
 
+    /** Per tracker: in use, and its last line number. */
+    std::vector<TrackerTag> trackerTags() const;
+
   private:
     struct Tracker
     {
         uint64_t lastLine = 0;
         int direction = 0;  // +1 / -1; 0 = untrained
         int confidence = 0; // confirmations in the same direction
-        uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     int degree_ = 4;
+    TrackerIndex index_;
     std::vector<Tracker> trackers_;
-    uint64_t useTick_ = 0;
 };
 
 } // namespace mab

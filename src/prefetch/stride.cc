@@ -12,7 +12,8 @@ constexpr int kPrefetchThreshold = 2;
 } // namespace
 
 StridePrefetcher::StridePrefetcher(int num_trackers, int degree)
-    : degree_(degree), table_(num_trackers)
+    : degree_(degree), index_(num_trackers, "StridePrefetcher"),
+      table_(static_cast<size_t>(index_.size()))
 {
 }
 
@@ -28,54 +29,48 @@ StridePrefetcher::reset()
 {
     for (auto &e : table_)
         e = Entry{};
-    useTick_ = 0;
+    index_.clear();
+}
+
+std::vector<TrackerTag>
+StridePrefetcher::trackerTags() const
+{
+    return index_.tags([this](int i) { return table_[i].pcTag; });
 }
 
 void
 StridePrefetcher::onAccess(const PrefetchAccess &access,
                            std::vector<uint64_t> &out)
 {
-    Entry *match = nullptr;
-    Entry *victim = &table_[0];
-    for (auto &e : table_) {
-        if (e.valid && e.pcTag == access.pc) {
-            match = &e;
-            break;
-        }
-        if (!e.valid) {
-            victim = &e;
-        } else if (victim->valid && e.lastUse < victim->lastUse) {
-            victim = &e;
-        }
-    }
+    const int match = TrackerIndex::first(
+        index_.candidates(access.pc),
+        [&](int i) { return table_[i].pcTag == access.pc; });
 
-    if (!match) {
-        victim->valid = true;
-        victim->pcTag = access.pc;
-        victim->lastAddr = access.addr;
-        victim->stride = 0;
-        victim->confidence = 0;
-        victim->lastUse = ++useTick_;
+    if (match < 0) {
+        const int victim = index_.victimHighestFree();
+        table_[victim] = {access.pc, access.addr, 0, 0};
+        index_.assign(victim, access.pc);
         return;
     }
 
+    Entry &e = table_[match];
+    index_.touch(match);
     const int64_t delta = static_cast<int64_t>(access.addr) -
-        static_cast<int64_t>(match->lastAddr);
-    if (delta != 0 && delta == match->stride) {
-        if (match->confidence < kConfidenceMax)
-            ++match->confidence;
+        static_cast<int64_t>(e.lastAddr);
+    if (delta != 0 && delta == e.stride) {
+        if (e.confidence < kConfidenceMax)
+            ++e.confidence;
     } else {
-        match->stride = delta;
-        match->confidence = delta != 0 ? 1 : 0;
+        e.stride = delta;
+        e.confidence = delta != 0 ? 1 : 0;
     }
-    match->lastAddr = access.addr;
-    match->lastUse = ++useTick_;
+    e.lastAddr = access.addr;
 
-    if (degree_ > 0 && match->confidence >= kPrefetchThreshold &&
-        match->stride != 0) {
+    if (degree_ > 0 && e.confidence >= kPrefetchThreshold &&
+        e.stride != 0) {
         for (int i = 1; i <= degree_; ++i) {
-            const int64_t target = static_cast<int64_t>(access.addr) +
-                match->stride * i;
+            const int64_t target =
+                static_cast<int64_t>(access.addr) + e.stride * i;
             if (target > 0)
                 out.push_back(static_cast<uint64_t>(target));
         }

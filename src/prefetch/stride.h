@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tracker_index.h"
 
 namespace mab {
 
@@ -18,10 +19,15 @@ namespace mab {
  * from its constituent prefetchers (Section 3.1). The standalone
  * "Stride" comparison baseline (IP-stride, [23]) is this class with a
  * fixed degree.
+ *
+ * A new PC takes the highest free tracker, or the least recently used
+ * one when all are in use; a TrackerIndex keyed by PC finds a PC's
+ * tracker without scanning the table.
  */
 class StridePrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument unless 1 <= num_trackers <= 64 */
     explicit StridePrefetcher(int num_trackers = 64, int degree = 2);
 
     void onAccess(const PrefetchAccess &access,
@@ -35,6 +41,9 @@ class StridePrefetcher final : public Prefetcher
     void setDegree(int degree) { degree_ = degree; }
     int degree() const { return degree_; }
 
+    /** Per tracker: in use, and its PC tag. */
+    std::vector<TrackerTag> trackerTags() const;
+
   private:
     struct Entry
     {
@@ -42,13 +51,11 @@ class StridePrefetcher final : public Prefetcher
         uint64_t lastAddr = 0;
         int64_t stride = 0;
         int confidence = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     int degree_;
+    TrackerIndex index_;
     std::vector<Entry> table_;
-    uint64_t useTick_ = 0;
 };
 
 } // namespace mab

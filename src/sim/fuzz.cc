@@ -2042,6 +2042,7 @@ FuzzReport::merge(const FuzzReport &other)
     driftCases += other.driftCases;
     smtCases += other.smtCases;
     sweepCases += other.sweepCases;
+    prefetchCases += other.prefetchCases;
     failures.insert(failures.end(), other.failures.begin(),
                     other.failures.end());
 }
@@ -2141,6 +2142,20 @@ runFuzzIteration(uint64_t caseSeed, FuzzReport &report, bool shrink,
             if (shrink)
                 err += "\nminimized: " + formatSmtCase(shrinkSmtCase(sc));
             report.failures.push_back({caseSeed, "smt", err, repro});
+        }
+    }
+    if (enabled("prefetch")) {
+        ++report.prefetchCases;
+        const PrefetchCase pc = genPrefetchCase(subSeed(caseSeed, 7));
+        std::string err = diffPrefetchCase(pc);
+        if (!err.empty()) {
+            if (shrink) {
+                const PrefetchCase min =
+                    shrinkPrefetchCase(pc, optimizedPrefetchFactory());
+                err += "\nminimized: " + formatPrefetchCase(min);
+            }
+            report.failures.push_back(
+                {caseSeed, "prefetch", err, repro});
         }
     }
     // The sweep oracle spawns threads; run it on a deterministic

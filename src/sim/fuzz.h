@@ -13,6 +13,9 @@
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
+#include "prefetch/prefetcher.h"
+#include "prefetch/pythia.h"
+#include "prefetch/tracker_index.h"
 #include "smt/pipeline.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
@@ -39,6 +42,9 @@ namespace mab::fuzz {
  *    a closed-form discounted-count cross-check for DUCB.
  *  - SMT skip-ahead: SmtPipeline::run()'s dead-cycle skip checked
  *    chunk by chunk against one cycle() call per cycle.
+ *  - Prefetchers: the indexed Stream / Stride / Bingo tables, the
+ *    allocation-free Pythia and MLOP's in-order retrain checked
+ *    access by access against the table-scanning originals.
  *  - Sweep oracle: serial vs parallel SweepRunner equivalence.
  *  - End-to-end property checks on random CoreModel runs (counter
  *    conservation, MSHR/queue bounds, IPC in (0, commitWidth]).
@@ -523,6 +529,153 @@ SmtCase shrinkSmtCase(const SmtCase &c,
                       SmtMutation m = SmtMutation::None);
 
 // ---------------------------------------------------------------------
+// Prefetcher differential
+// ---------------------------------------------------------------------
+
+/** The prefetcher a prefetch fuzz case drives. */
+enum class PrefetchKind
+{
+    NextLine,
+    Stream,
+    Stride,
+    Bingo,
+    Mlop,
+    Pythia,
+    /** BanditEnsemblePrefetcher: next-line + stream + stride. */
+    Ensemble,
+};
+
+const char *toString(PrefetchKind kind);
+
+/** One operation of a prefetch fuzz case. */
+struct PrefetchOp
+{
+    enum class Kind
+    {
+        Access, ///< onAccess(access, out)
+        Reset,  ///< reset()
+        /** setDegree (Stream, Stride), setEnabled (NextLine) or
+         *  applyArm (Ensemble) with @c knob; a no-op elsewhere. */
+        Knob,
+    };
+
+    Kind kind = Kind::Access;
+    PrefetchAccess access;
+    /** What the bandwidth probe reads during this access. */
+    double bw = 0.0;
+    int knob = 0;
+};
+
+/** A complete, self-contained prefetcher differential case. */
+struct PrefetchCase
+{
+    PrefetchKind kind = PrefetchKind::Stream;
+    /** Stream / Stride table size. */
+    int trackers = 64;
+    /** Stride constructor degree. */
+    int strideDegree = 2;
+    uint64_t regionBytes = 2048;
+    int accumulationEntries = 64;
+    int historyEntries = 2048;
+    int mlopLevels = 16;
+    int mlopHistory = 256;
+    int mlopEpoch = 1024;
+    PythiaConfig pythia;
+    /** Install a bandwidth probe (Pythia) reading PrefetchOp::bw. */
+    bool bwProbe = false;
+    std::vector<PrefetchOp> ops;
+};
+
+/** Human-readable dump of @p c (shrunk-repro reports). */
+std::string formatPrefetchCase(const PrefetchCase &c);
+
+/**
+ * Uniform prefetcher interface for the differential loop: the
+ * optimized prefetchers, the reference models and the planted
+ * mutants all plug in through it.
+ */
+class PrefetchModel
+{
+  public:
+    virtual ~PrefetchModel() = default;
+
+    virtual void onAccess(const PrefetchAccess &access,
+                          std::vector<uint64_t> &out) = 0;
+    virtual void reset() = 0;
+    virtual void setKnob(int value) = 0;
+    /** Per-entry tags of the tracker tables (Stream, Stride, Bingo's
+     *  accumulation table; the ensemble's stream then stride table),
+     *  in index order; empty for the others. */
+    virtual std::vector<TrackerTag> trackerTags() const = 0;
+    /** Learned state with a public accessor: Pythia's actionCounts(),
+     *  MLOP's per-level offsets; empty for the others. */
+    virtual std::vector<int64_t> observables() const = 0;
+};
+
+/** Builds the model for a case; a bandwidth probe, when the case
+ *  installs one, reads *@p bw. */
+using PrefetchModelFactory = std::function<std::unique_ptr<PrefetchModel>(
+    const PrefetchCase &c, const double *bw)>;
+
+/** Factory producing the real (optimized) prefetchers under test. */
+PrefetchModelFactory optimizedPrefetchFactory();
+
+/**
+ * Planted faults for harness self-tests, each in a copy of the
+ * reference models: the differential loop must catch every one.
+ */
+enum class PrefetchMutation
+{
+    None,
+    /** The tracker tables evict the most recently used entry. */
+    LruPicksMostRecent,
+    /** Stream extends the last qualifying tracker, not the first. */
+    StreamTakesLastQualifying,
+    /** Bingo opens a generation in the highest free entry. */
+    BingoFillsHighestFree,
+    /** Pythia breaks argmax ties toward the highest action. */
+    PythiaTieTakesHighest,
+};
+
+const char *toString(PrefetchMutation m);
+
+/** Every planted mutation (PrefetchMutation::None excluded). */
+std::vector<PrefetchMutation> allPrefetchMutations();
+
+/**
+ * The reference prefetchers: the table-scanning Stream, Stride,
+ * NextLine, Bingo, MLOP and Pythia implementations the optimized ones
+ * replaced (deque + hash-map evaluation queue, whole-table LRU scans,
+ * serial argmax), kept verbatim as the semantics to reproduce — with
+ * @p m planted. Never optimize these.
+ */
+PrefetchModelFactory referencePrefetchFactory(
+    PrefetchMutation m = PrefetchMutation::None);
+
+/** Generate a random-but-valid prefetch case from @p seed: clustered
+ *  lines, more PCs and regions than table entries, re-triggers,
+ *  resets, knob changes and bandwidth readings. */
+PrefetchCase genPrefetchCase(uint64_t seed);
+
+/**
+ * Run @p c through @p impl and the reference model, comparing the
+ * emitted address lists element by element after every access, and
+ * the tracker tags and observables after every op. Returns "" on
+ * agreement, else the first divergence.
+ */
+std::string diffPrefetchCase(const PrefetchCase &c,
+                             const PrefetchModelFactory &impl);
+
+/** Same, against the optimized prefetchers. */
+std::string diffPrefetchCase(const PrefetchCase &c);
+
+/** Shrink a failing case: chunk removal over the ops, then smaller
+ *  tables, history and evaluation queue. Returns @p c unchanged if it
+ *  passes. */
+PrefetchCase shrinkPrefetchCase(const PrefetchCase &c,
+                                const PrefetchModelFactory &impl);
+
+// ---------------------------------------------------------------------
 // Serial-vs-parallel sweep oracle
 // ---------------------------------------------------------------------
 
@@ -550,7 +703,7 @@ struct FuzzOptions
     /** Parallel fuzz lanes (iterations are independent). */
     int jobs = 1;
     /** Restrict to one domain ("cache", "bandit", "sim", "replay",
-     *  "drift", "smt", "sweep"); empty runs them all. */
+     *  "drift", "smt", "sweep", "prefetch"); empty runs them all. */
     std::string domain;
 };
 
@@ -558,7 +711,7 @@ struct FuzzFailure
 {
     uint64_t caseSeed = 0;
     std::string domain;  ///< "cache", "bandit", "sim", "replay",
-                         ///< "drift", "smt", "sweep"
+                         ///< "drift", "smt", "sweep", "prefetch"
     std::string message; ///< divergence + (when shrunk) minimal case
     std::string repro;   ///< one-line replay command
 };
@@ -573,6 +726,7 @@ struct FuzzReport
     uint64_t driftCases = 0;
     uint64_t smtCases = 0;
     uint64_t sweepCases = 0;
+    uint64_t prefetchCases = 0;
     std::vector<FuzzFailure> failures;
 
     bool ok() const { return failures.empty(); }

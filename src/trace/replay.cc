@@ -101,10 +101,6 @@ ReplaySource::throwExhausted() const
 
 TraceArena::TraceArena() : budgetBytes_(kDefaultBudgetBytes)
 {
-    if (const char *env = std::getenv("MAB_TRACE_ARENA")) {
-        if (env[0] == '0' && env[1] == '\0')
-            enabled_ = false;
-    }
     if (const char *env = std::getenv("MAB_TRACE_ARENA_DIR")) {
         if (env[0] != '\0')
             dir_ = env;

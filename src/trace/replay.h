@@ -247,9 +247,7 @@ class ReplaySource final : public TraceSource
  * byte budget is exceeded; evicted payloads stay alive for the tasks
  * still holding their shared_ptr and are freed with the last one.
  *
- * Environment knobs (read once, at first use):
- *   MAB_TRACE_ARENA=0        disable (every run generates live); the
- *                            bench flag --no-trace-cache does the same
+ * Environment knob (read once, at first use):
  *   MAB_TRACE_ARENA_DIR=<d>  persist instruction traces as versioned
  *                            on-disk PackedRecord files under <d>
  *                            (created if absent). A miss first tries
@@ -262,9 +260,11 @@ class ReplaySource final : public TraceSource
  *                            fingerprint/length/checksum) are rejected
  *                            and regenerated, never replayed.
  *
- * The byte budget (default 512 MiB) is set through setBudgetBytes();
- * the bench harness parses MAB_TRACE_ARENA_MB into it (bench/common.h,
- * resolveArenaBudget).
+ * The byte budget (default 512 MiB) is set through setBudgetBytes()
+ * and the on/off switch through setEnabled(); the bench harness parses
+ * MAB_TRACE_ARENA_MB and MAB_TRACE_ARENA (0 = every run generates
+ * live; the flag --no-trace-cache does the same) into them
+ * (bench/common.h, resolveArenaBudget and resolveArenaEnabled).
  */
 class TraceArena
 {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/heuristics.h"
 #include "cpu/bandit_prefetch.h"
@@ -38,6 +39,18 @@ TEST(BanditPrefetchController, DefaultsMatchTable6)
     EXPECT_TRUE(cfg.mab.normalizeRewards);
     EXPECT_EQ(cfg.hw.stepUnits, 1000u);
     EXPECT_EQ(cfg.hw.selectionLatencyCycles, 500u);
+}
+
+TEST(BanditPrefetchController, PolicyWithWrongArmCountIsRejectedInEveryBuild)
+{
+    MabConfig mab;
+    mab.numArms = 5;
+    EXPECT_THROW(BanditPrefetchController(
+                     makePolicy(MabAlgorithm::Ducb, mab), BanditHwConfig{}),
+                 std::invalid_argument);
+    mab.numArms = BanditEnsemblePrefetcher::numArms();
+    EXPECT_NO_THROW(BanditPrefetchController(
+        makePolicy(MabAlgorithm::Ducb, mab), BanditHwConfig{}));
 }
 
 TEST(BanditPrefetchController, NameIncludesAlgorithm)

@@ -274,6 +274,42 @@ TEST(ResolveScale, NonNumericNonFiniteOrNonPositiveIsAUsageError)
     }
 }
 
+TEST(ResolveArenaEnabled, UnsetKeepsTheCurrentSetting)
+{
+    for (bool on : {false, true}) {
+        bool enabled = on;
+        EXPECT_EQ(resolveArenaEnabled(nullptr, &enabled), "");
+        EXPECT_EQ(enabled, on);
+    }
+}
+
+TEST(ResolveArenaEnabled, AcceptsZeroAndOne)
+{
+    bool enabled = true;
+    EXPECT_EQ(resolveArenaEnabled("0", &enabled), "");
+    EXPECT_FALSE(enabled);
+    EXPECT_EQ(resolveArenaEnabled("1", &enabled), "");
+    EXPECT_TRUE(enabled);
+}
+
+TEST(ResolveArenaEnabled, AnythingElseIsAUsageError)
+{
+    for (const char *bad :
+         {"off", "false", "on", "true", "", " 0", "0 ", "00", "01", "2",
+          "-1", "no"}) {
+        for (bool on : {false, true}) {
+            bool enabled = on;
+            const std::string err = resolveArenaEnabled(bad, &enabled);
+            EXPECT_NE(err.find("MAB_TRACE_ARENA"), std::string::npos)
+                << "'" << bad << "': " << err;
+            EXPECT_NE(err.find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << err;
+            EXPECT_EQ(enabled, on) << bad;
+        }
+    }
+}
+
 TEST(ResolveArenaBudget, UnsetKeepsTheCurrentBudget)
 {
     uint64_t bytes = 123;

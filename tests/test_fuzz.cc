@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <unistd.h>
 #include <sstream>
 #include <string>
@@ -56,6 +57,15 @@ TEST(FuzzSeeds, GeneratorsArePureFunctionsOfTheSeed)
 
     EXPECT_EQ(fuzz::formatSmtCase(fuzz::genSmtCase(42)),
               fuzz::formatSmtCase(fuzz::genSmtCase(42)));
+
+    const fuzz::PrefetchCase pa = fuzz::genPrefetchCase(42);
+    const fuzz::PrefetchCase pb = fuzz::genPrefetchCase(42);
+    EXPECT_EQ(fuzz::formatPrefetchCase(pa), fuzz::formatPrefetchCase(pb));
+    ASSERT_EQ(pa.ops.size(), pb.ops.size());
+    for (size_t i = 0; i < pa.ops.size(); ++i) {
+        EXPECT_EQ(pa.ops[i].access.addr, pb.ops[i].access.addr);
+        EXPECT_EQ(pa.ops[i].knob, pb.ops[i].knob);
+    }
 }
 
 TEST(FuzzSeeds, GeneratedCacheGeometriesAreValid)
@@ -298,6 +308,62 @@ TEST(SmtDifferential, ShrinkIsANoOpOnPassingCases)
 }
 
 // ---------------------------------------------------------------------------
+// Prefetcher differential
+
+TEST(PrefetchDifferential, GeneratedCasesAgreeForEveryPrefetcher)
+{
+    std::set<fuzz::PrefetchKind> kinds;
+    for (uint64_t i = 0; i < 200; ++i) {
+        const fuzz::PrefetchCase c = fuzz::genPrefetchCase(
+            fuzz::subSeed(fuzz::iterationSeed(1, i), 7));
+        kinds.insert(c.kind);
+        ASSERT_EQ(fuzz::diffPrefetchCase(c), "") << "iteration " << i;
+    }
+    EXPECT_EQ(kinds.size(), 7u) << "every prefetcher kind is generated";
+}
+
+/** Every planted prefetcher fault is caught and shrunk to a witness
+ *  of at most 40 ops that the optimized prefetchers pass. */
+TEST(PrefetchDifferential, EveryMutantIsCaughtAndShrunk)
+{
+    for (const fuzz::PrefetchMutation m : fuzz::allPrefetchMutations()) {
+        SCOPED_TRACE(fuzz::toString(m));
+        const fuzz::PrefetchModelFactory mutant =
+            fuzz::referencePrefetchFactory(m);
+        bool caught = false;
+        for (uint64_t i = 0; i < 50 && !caught; ++i) {
+            const fuzz::PrefetchCase c = fuzz::genPrefetchCase(
+                fuzz::subSeed(fuzz::iterationSeed(1, i), 7));
+            if (fuzz::diffPrefetchCase(c, mutant).empty())
+                continue;
+            caught = true;
+            const fuzz::PrefetchCase min =
+                fuzz::shrinkPrefetchCase(c, mutant);
+            EXPECT_NE(fuzz::diffPrefetchCase(min, mutant), "");
+            EXPECT_EQ(fuzz::diffPrefetchCase(min), "");
+            EXPECT_LE(min.ops.size(), 40u);
+        }
+        EXPECT_TRUE(caught) << "mutant not detected within 50 case seeds";
+    }
+}
+
+TEST(PrefetchDifferential, UnmutatedReferenceAgreesWithItself)
+{
+    const fuzz::PrefetchCase c = fuzz::genPrefetchCase(3);
+    EXPECT_EQ(fuzz::diffPrefetchCase(c, fuzz::referencePrefetchFactory()),
+              "");
+}
+
+TEST(PrefetchDifferential, ShrinkIsANoOpOnPassingCases)
+{
+    const fuzz::PrefetchCase c = fuzz::genPrefetchCase(7);
+    ASSERT_EQ(fuzz::diffPrefetchCase(c), "");
+    EXPECT_EQ(fuzz::formatPrefetchCase(fuzz::shrinkPrefetchCase(
+                  c, fuzz::optimizedPrefetchFactory())),
+              fuzz::formatPrefetchCase(c));
+}
+
+// ---------------------------------------------------------------------------
 // Sweep oracle
 
 TEST(SweepOracle, SerialAndParallelRunsAgree)
@@ -322,6 +388,7 @@ TEST(FuzzHarness, SmokeRunPassesAndCountsCases)
     EXPECT_EQ(report.banditCases, 40u);
     EXPECT_EQ(report.simCases, 40u);
     EXPECT_EQ(report.smtCases, 40u);
+    EXPECT_EQ(report.prefetchCases, 40u);
 
     uint64_t expected_sweeps = 0;
     for (uint64_t i = 0; i < 40; ++i)
@@ -347,11 +414,13 @@ TEST(FuzzHarness, ReportMergeAccumulates)
     a.cacheCases = 3;
     b.iterations = 2;
     b.sweepCases = 1;
+    b.prefetchCases = 2;
     b.failures.push_back({7, "cache", "msg", "repro"});
     a.merge(b);
     EXPECT_EQ(a.iterations, 5u);
     EXPECT_EQ(a.cacheCases, 3u);
     EXPECT_EQ(a.sweepCases, 1u);
+    EXPECT_EQ(a.prefetchCases, 2u);
     ASSERT_EQ(a.failures.size(), 1u);
     EXPECT_FALSE(a.ok());
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "prefetch/bingo.h"
@@ -101,6 +103,60 @@ TEST(Bingo, FallbackToShortKeyOnNewOffset)
     EXPECT_TRUE(contains(out, fresh + 5 * kLineBytes));
 }
 
+TEST(Bingo, LruEvictionClosesTheGenerationIntoHistory)
+{
+    BingoPrefetcher pf(2048, 2, 2048);
+    std::vector<uint64_t> out;
+    const uint64_t r1 = 0x100000, r2 = 0x200000, r3 = 0x300000,
+                   r4 = 0x400000;
+    // Region 1 (PC 0x11) touches lines 0, 1 and 2.
+    for (uint64_t line = 0; line < 3; ++line)
+        pf.onAccess(access(0x11, r1 + line * kLineBytes), out);
+    pf.onAccess(access(0x22, r2), out);
+    EXPECT_EQ(pf.trackerTags()[0].key, r1 / 2048);
+    EXPECT_EQ(pf.trackerTags()[1].key, r2 / 2048);
+    // Nothing was recorded yet: a new region under PC 0x11 is silent.
+    // Opening it evicts region 1, the LRU generation, into history.
+    out.clear();
+    pf.onAccess(access(0x11, r3), out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(pf.trackerTags()[0].key, r3 / 2048);
+    // The next trigger under PC 0x11 replays region 1's footprint.
+    out.clear();
+    pf.onAccess(access(0x11, r4), out);
+    EXPECT_EQ(out, (std::vector<uint64_t>{r4 + kLineBytes,
+                                          r4 + 2 * kLineBytes}));
+    EXPECT_EQ(pf.trackerTags()[1].key, r4 / 2048);
+}
+
+TEST(Bingo, FillsLowestFreeEntryFirst)
+{
+    BingoPrefetcher pf(2048, 3, 2048);
+    std::vector<uint64_t> out;
+    pf.onAccess(access(1, 0x100000), out);
+    const std::vector<TrackerTag> tags = pf.trackerTags();
+    EXPECT_TRUE(tags[0].valid);
+    EXPECT_FALSE(tags[1].valid);
+    EXPECT_FALSE(tags[2].valid);
+}
+
+TEST(Bingo, BadGeometryIsRejectedInEveryBuild)
+{
+    // Not a power of two, below one line, above 64 lines.
+    for (uint64_t region : {0ull, 32ull, 96ull, 8192ull})
+        EXPECT_THROW(BingoPrefetcher{region}, std::invalid_argument)
+            << region;
+    // Not 4 times a power of two (below 4 divided by zero sets).
+    for (int hist : {-4, 0, 2, 6, 12})
+        EXPECT_THROW(BingoPrefetcher(2048, 64, hist),
+                     std::invalid_argument)
+            << hist;
+    EXPECT_THROW(BingoPrefetcher(2048, 0, 2048), std::invalid_argument);
+    EXPECT_THROW(BingoPrefetcher(2048, 65, 2048), std::invalid_argument);
+    EXPECT_NO_THROW(BingoPrefetcher(64, 1, 4));
+    EXPECT_NO_THROW(BingoPrefetcher(4096, 64, 8));
+}
+
 TEST(Bingo, StorageInTensOfKb)
 {
     const uint64_t bytes = BingoPrefetcher{}.storageBytes();
@@ -160,6 +216,34 @@ TEST(Mlop, SilentOnRandomTraffic)
     for (int i = 0; i < 2000; ++i)
         pf.onAccess(access(1, rng.below(1 << 28) * kLineBytes), out);
     EXPECT_LT(out.size(), 100u);
+}
+
+TEST(Mlop, RetrainOverAWrappedRingMatchesTheUnwrappedHistory)
+{
+    // 101 accesses: stride 3, then stride 5 for the last 20.
+    std::vector<uint64_t> lines;
+    uint64_t line = 1 << 20;
+    for (int i = 0; i < 101; ++i) {
+        lines.push_back(line);
+        line += i < 80 ? 3 : 5;
+    }
+    // Wrapped: a 64-entry ring retrained after 101 accesses, so its
+    // write position sits at 37. Unwrapped: the same ring fed only the
+    // last 64 accesses and retrained as it fills (position 0).
+    MlopPrefetcher wrapped(16, 64, 101);
+    MlopPrefetcher unwrapped(16, 64, 64);
+    std::vector<uint64_t> out;
+    for (uint64_t l : lines)
+        wrapped.onAccess(access(1, l * kLineBytes), out);
+    for (size_t i = lines.size() - 64; i < lines.size(); ++i)
+        unwrapped.onAccess(access(1, lines[i] * kLineBytes), out);
+    bool any = false;
+    for (int k = 0; k < 16; ++k) {
+        EXPECT_EQ(wrapped.levelOffset(k), unwrapped.levelOffset(k)) << k;
+        any = any || wrapped.levelOffset(k) != 0;
+    }
+    EXPECT_TRUE(any);
+    EXPECT_EQ(wrapped.levelOffset(0), 3);
 }
 
 TEST(Mlop, ResetClearsOffsets)
@@ -297,6 +381,54 @@ TEST(Pythia, ActionCountsSumToAccesses)
     const auto &counts = pf.actionCounts();
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull),
               500ull);
+}
+
+TEST(Pythia, ArgmaxTiesGoToTheLowestAction)
+{
+    // No exploration and all Q-values equal: every decision is a tie.
+    // With no evaluation queue each decision is paid at once, which
+    // lowers its Q below the rest, so a repeated access walks the
+    // tied actions upward one at a time.
+    PythiaConfig cfg;
+    cfg.epsilon = 0.0;
+    cfg.eqDepth = 0;
+    PythiaPrefetcher pf(cfg);
+    std::vector<uint64_t> out;
+    for (int a = 0; a < 8; ++a) {
+        pf.onAccess(access(0x42, 0x100000), out);
+        EXPECT_EQ(pf.actionCounts()[a], 1u) << a;
+    }
+    EXPECT_EQ(std::accumulate(pf.actionCounts().begin(),
+                              pf.actionCounts().end(), uint64_t{0}),
+              8u);
+}
+
+TEST(Pythia, NonFiniteBandwidthReadingsKeepDecisionsDefined)
+{
+    // A NaN utilization poisons the Q-values it touches; the argmax
+    // then behaves as a serial scan would (a NaN Q never wins, a NaN
+    // Q(0) keeps action 0) instead of reading out of range.
+    PythiaConfig cfg;
+    cfg.epsilon = 0.0;
+    cfg.eqDepth = 0;
+    PythiaPrefetcher pf(cfg);
+    pf.setBandwidthProbe([](uint64_t) { return std::nan(""); });
+    std::vector<uint64_t> out;
+    for (int i = 0; i < 5; ++i)
+        pf.onAccess(access(0x42, 0x100000), out);
+    EXPECT_EQ(pf.actionCounts()[0], 5u);
+}
+
+TEST(Pythia, BadQueueOrPlaneSizeIsRejected)
+{
+    PythiaConfig cfg;
+    cfg.eqDepth = -1;
+    EXPECT_THROW(PythiaPrefetcher{cfg}, std::invalid_argument);
+    cfg.eqDepth = 0;
+    cfg.planeEntries = 0;
+    EXPECT_THROW(PythiaPrefetcher{cfg}, std::invalid_argument);
+    cfg.planeEntries = 1;
+    EXPECT_NO_THROW(PythiaPrefetcher{cfg});
 }
 
 TEST(Pythia, StorageMatchesPaperBudget)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "prefetch/ensemble.h"
@@ -153,6 +154,61 @@ TEST(Stream, ResetForgetsStreams)
     EXPECT_TRUE(out.empty());
 }
 
+/** Line-number keys of the trackers in index order; 0 = free. */
+std::vector<uint64_t>
+keys(const std::vector<TrackerTag> &tags)
+{
+    std::vector<uint64_t> k;
+    for (const TrackerTag &t : tags)
+        k.push_back(t.valid ? t.key : 0);
+    return k;
+}
+
+TEST(Stream, LowerIndexWinsWhenTwoTrackersQualify)
+{
+    StreamPrefetcher pf(4);
+    std::vector<uint64_t> out;
+    // Two accesses to line 100: the second has delta 0 to the first
+    // tracker, so it opens a second one (fill order: 3, then 2).
+    pf.onAccess(access(1, 100 * kLineBytes), out);
+    pf.onAccess(access(1, 100 * kLineBytes), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{0, 0, 100, 100}));
+    // Line 102 is within the window of both; tracker 2 takes it.
+    pf.onAccess(access(1, 102 * kLineBytes), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{0, 0, 102, 100}));
+}
+
+TEST(Stream, FillsHighestFreeThenEvictsLeastRecentlyUsed)
+{
+    StreamPrefetcher pf(3);
+    std::vector<uint64_t> out;
+    for (uint64_t line : {1000, 2000, 3000})
+        pf.onAccess(access(1, line * kLineBytes), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{3000, 2000, 1000}));
+    // Extending the oldest stream makes 2000 the LRU tracker.
+    pf.onAccess(access(1, 1001 * kLineBytes), out);
+    pf.onAccess(access(1, 4000 * kLineBytes), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{3000, 4000, 1001}));
+    pf.onAccess(access(1, 5000 * kLineBytes), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{5000, 4000, 1001}));
+    pf.reset();
+    EXPECT_EQ(keys(pf.trackerTags()), (std::vector<uint64_t>{0, 0, 0}));
+}
+
+TEST(Stream, TrackerCountOutsideOneTo64IsRejected)
+{
+    EXPECT_THROW(StreamPrefetcher(0), std::invalid_argument);
+    EXPECT_THROW(StreamPrefetcher(-1), std::invalid_argument);
+    EXPECT_THROW(StreamPrefetcher(65), std::invalid_argument);
+    EXPECT_NO_THROW(StreamPrefetcher(1));
+    EXPECT_NO_THROW(StreamPrefetcher(64));
+}
+
 // ---------------------------------------------------------------------
 // PC-stride.
 // ---------------------------------------------------------------------
@@ -237,9 +293,44 @@ TEST(Stride, TableEvictsLruPc)
     EXPECT_FALSE(out.empty());
 }
 
+TEST(Stride, FillsHighestFreeThenEvictsLeastRecentlyUsed)
+{
+    StridePrefetcher pf(3, 1);
+    std::vector<uint64_t> out;
+    for (uint64_t pc : {0xA, 0xB, 0xC})
+        pf.onAccess(access(pc, 0x10000 * pc), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{0xC, 0xB, 0xA}));
+    // Touching 0xA makes 0xB the LRU PC.
+    pf.onAccess(access(0xA, 0x10000 * 0xA + 64), out);
+    pf.onAccess(access(0xD, 0xD0000), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{0xC, 0xD, 0xA}));
+    pf.onAccess(access(0xE, 0xE0000), out);
+    EXPECT_EQ(keys(pf.trackerTags()),
+              (std::vector<uint64_t>{0xE, 0xD, 0xA}));
+}
+
+TEST(Stride, TrackerCountOutsideOneTo64IsRejected)
+{
+    EXPECT_THROW(StridePrefetcher(0), std::invalid_argument);
+    EXPECT_THROW(StridePrefetcher(65, 1), std::invalid_argument);
+    EXPECT_NO_THROW(StridePrefetcher(1, 1));
+    EXPECT_NO_THROW(StridePrefetcher(64, 1));
+}
+
 // ---------------------------------------------------------------------
 // Ensemble / Table 7 arms.
 // ---------------------------------------------------------------------
+
+TEST(Ensemble, OutOfRangeArmIsRejectedInEveryBuild)
+{
+    BanditEnsemblePrefetcher pf;
+    pf.applyArm(3);
+    EXPECT_THROW(pf.applyArm(-1), std::invalid_argument);
+    EXPECT_THROW(pf.applyArm(11), std::invalid_argument);
+    EXPECT_EQ(pf.currentArm(), 3);
+}
 
 TEST(Ensemble, ArmTableMatchesTable7)
 {
