@@ -22,12 +22,10 @@ runFourCore(const AppProfile &app, double restart_prob, uint64_t instr)
     DramConfig dram;
     dram.mtps = 4800; // dual channel, as in the Figure 14 runs
     MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, dram, 4);
-    std::vector<std::unique_ptr<SyntheticTrace>> traces;
     std::vector<std::unique_ptr<BanditPrefetchController>> pfs;
     for (int c = 0; c < 4; ++c) {
         AppProfile per_core = app;
         per_core.seed = app.seed + static_cast<uint64_t>(c) * 911;
-        traces.push_back(std::make_unique<SyntheticTrace>(per_core));
         BanditPrefetchConfig cfg;
         cfg.mab.seed = per_core.seed;
         cfg.hw.stepUnits = 125;
@@ -36,7 +34,7 @@ runFourCore(const AppProfile &app, double restart_prob, uint64_t instr)
         cfg.mab.rrRestartProb = restart_prob;
         pfs.push_back(
             std::make_unique<BanditPrefetchController>(cfg));
-        sys.attachCore(c, *traces.back(), pfs.back().get());
+        sys.attachCore(c, per_core, pfs.back().get());
     }
     return sys.run(instr).sumIpc;
 }
@@ -54,11 +52,11 @@ main(int argc, char **argv)
         "ligra_pagerank", "parsec_streamcluster", "cactusADM06",
     };
 
-    // Tasks: (app x {restart off, restart on}), interleaved per app.
-    const std::vector<double> sums = sweepMap<double>(
-        jobs, 2 * apps.size(), [&](size_t i) {
-            return runFourCore(appByName(apps[i / 2]),
-                               i % 2 == 0 ? 0.0 : 0.01, instr);
+    // Results: (app x {restart off, restart on}), interleaved per app.
+    const std::vector<double> sums = sweepGrid<double>(
+        jobs, apps.size(), 2, [&](size_t a, size_t on) {
+            return runFourCore(appByName(apps[a]), on ? 0.01 : 0.0,
+                               instr);
         });
 
     std::printf("Ablation: rr_restart_prob in 4-core homogeneous "

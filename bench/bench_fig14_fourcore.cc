@@ -31,14 +31,11 @@ runHomogeneous(const AppProfile &app, const std::string &pf_name,
     dram.mtps = 4800;
     MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, dram,
                         kCores);
-    std::vector<std::unique_ptr<SyntheticTrace>> traces;
     std::vector<std::unique_ptr<Prefetcher>> pfs;
     for (int c = 0; c < kCores; ++c) {
         AppProfile per_core = app;
         // Different trace regions of the same app per core.
         per_core.seed = app.seed + static_cast<uint64_t>(c) * 911;
-        traces.push_back(
-            std::make_unique<SyntheticTrace>(per_core));
 
         if (pf_name == "Bandit") {
             BanditPrefetchConfig cfg;
@@ -54,7 +51,7 @@ runHomogeneous(const AppProfile &app, const std::string &pf_name,
         } else {
             pfs.push_back(makePrefetcher(pf_name, per_core.seed));
         }
-        sys.attachCore(c, *traces.back(), pfs.back().get());
+        sys.attachCore(c, per_core, pfs.back().get());
     }
     return sys.run(instr_per_core).sumIpc;
 }
@@ -71,10 +68,9 @@ main(int argc, char **argv)
     const auto workloads = allWorkloads();
 
     const size_t per_app = 1 + pf_names.size();
-    const std::vector<double> sums = sweepMap<double>(
-        jobs, workloads.size() * per_app, [&](size_t i) {
-            const size_t c = i % per_app;
-            return runHomogeneous(workloads[i / per_app].app,
+    const std::vector<double> sums = sweepGrid<double>(
+        jobs, workloads.size(), per_app, [&](size_t w, size_t c) {
+            return runHomogeneous(workloads[w].app,
                                   c == 0 ? "None" : pf_names[c - 1],
                                   instr);
         });

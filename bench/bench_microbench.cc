@@ -6,9 +6,9 @@
  * These are the harness behind the serial hot-path optimizations:
  *   - Cache lookup+fill as one single-pass probe per set scan
  *     (BM_CacheLookupFill),
- *   - devirtualized trace-source and prefetcher dispatch in
- *     CoreModel, and the per-access tracing branch hoisted out of the
- *     run loop (BM_CoreStep*),
+ *   - CoreModel's packed-record replay loop, the devirtualized
+ *     prefetcher dispatch and the per-access tracing branch hoisted
+ *     out of the run loop (BM_CoreStep*),
  *   - the SMT pipeline kernel: dead-cycle skip-ahead, ring buffers,
  *     the count calendar, the inlined per-cycle loop and cached gate
  *     limits (BM_SmtPipelineRun/ICount and /Choi),
@@ -262,17 +262,21 @@ BENCHMARK(BM_PolicyScoresSwUcb)->Arg(11)->Arg(64)->UseRealTime();
 
 namespace {
 
-/** Run a CoreModel in chunks, one chunk per benchmark iteration. */
+/** Run a CoreModel in chunks, one chunk per benchmark iteration,
+ *  over 2^20 materialized records, rewound when the next chunk would
+ *  run past them (the core keeps its state). */
 void
 runCoreChunks(benchmark::State &state, Prefetcher *pf)
 {
-    const AppProfile app = appByName("lbm06");
-    SyntheticTrace trace(app);
+    ReplaySource trace(
+        MaterializedTrace::generate(appByName("lbm06"), 1 << 20));
     CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, pf);
 
     constexpr uint64_t kChunk = 20'000;
     uint64_t target = 0;
     for (auto _ : state) {
+        if (trace.position() + kChunk > trace.size())
+            trace.reset();
         target += kChunk;
         core.run(target);
         benchmark::DoNotOptimize(core.instructions());
@@ -288,8 +292,8 @@ runCoreChunks(benchmark::State &state, Prefetcher *pf)
 
 /**
  * Full core inner loop with a plain stride prefetcher — the dominant
- * cost of single-core sweeps. Exercises the devirtualized trace
- * source and prefetcher dispatch plus the hoisted tracing branch.
+ * cost of single-core sweeps. Exercises the packed-record replay loop
+ * and the prefetcher dispatch plus the hoisted tracing branch.
  */
 static void
 BM_CoreStepStride(benchmark::State &state)
@@ -310,7 +314,7 @@ BM_CoreStepBandit(benchmark::State &state)
 }
 BENCHMARK(BM_CoreStepBandit)->UseRealTime();
 
-/** No prefetcher: the floor — trace generation + hierarchy only. */
+/** No prefetcher: the floor — trace replay + hierarchy only. */
 static void
 BM_CoreStepNoPrefetch(benchmark::State &state)
 {
@@ -319,9 +323,9 @@ BM_CoreStepNoPrefetch(benchmark::State &state)
 BENCHMARK(BM_CoreStepNoPrefetch)->UseRealTime();
 
 /**
- * Live trace generation: SyntheticTrace::next() alone — RNG draws,
- * phase machinery, stream cursors. The per-record cost every run pays
- * without the arena.
+ * Trace generation: SyntheticTrace::next() alone — RNG draws, phase
+ * machinery, stream cursors. The per-record cost of materializing a
+ * trace, which an arena hit skips.
  */
 static void
 BM_GeneratorNext(benchmark::State &state)
@@ -444,7 +448,8 @@ class AccessRecorder final : public Prefetcher
 };
 
 /** The first 2^16 L2 demand accesses of @p app with no prefetcher
- *  (default core and hierarchy), recorded once per app. */
+ *  (default core and hierarchy), recorded once per app over a trace
+ *  that doubles whenever the next 100k instructions overrun it. */
 const std::vector<PrefetchAccess> &
 recordedL2Accesses(const std::string &app)
 {
@@ -453,13 +458,18 @@ recordedL2Accesses(const std::string &app)
     if (!acc.empty())
         return acc;
     constexpr size_t kAccesses = 1 << 16;
-    SyntheticTrace trace(appByName(app));
+    const AppProfile profile = appByName(app);
+    ReplaySource trace(MaterializedTrace::generate(profile, 1 << 20));
     AccessRecorder rec(acc);
     CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &rec);
     for (uint64_t target = 100'000;
          acc.size() < kAccesses && target <= 100'000'000;
-         target += 100'000)
+         target += 100'000) {
+        if (target > trace.size())
+            trace.extend(
+                MaterializedTrace::generate(profile, 2 * trace.size()));
         core.run(target);
+    }
     acc.resize(std::min(acc.size(), kAccesses));
     return acc;
 }

@@ -15,6 +15,7 @@
  * long run).
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -313,6 +314,36 @@ sweepMap(int jobs, size_t n, Fn &&fn)
     for (const SweepTaskStats &s : runner.lastTaskStats())
         meta.taskWallMs.push_back(static_cast<double>(s.wallNs) / 1e6);
     return results;
+}
+
+/**
+ * sweepMap over a @p rows (workloads) x @p cols grid, returning
+ * fn(row, col) at [row * cols + col]. Tasks run in blocks of @p jobs
+ * rows, column by column: concurrent tasks materialize different
+ * workloads' traces instead of waiting on one, and a row's traces are
+ * reused within its block.
+ */
+template <typename T, typename Fn>
+std::vector<T>
+sweepGrid(int jobs, size_t rows, size_t cols, Fn &&fn)
+{
+    const size_t block = static_cast<size_t>(std::max(jobs, 1));
+    const auto cell = [&](size_t i) {
+        const size_t first = i / (block * cols) * block;
+        const size_t width = std::min(block, rows - first);
+        const size_t k = i - first * cols;
+        return std::pair<size_t, size_t>(first + k % width, k / width);
+    };
+    std::vector<T> ran = sweepMap<T>(jobs, rows * cols, [&](size_t i) {
+        const auto [row, col] = cell(i);
+        return fn(row, col);
+    });
+    std::vector<T> out(ran.size());
+    for (size_t i = 0; i < ran.size(); ++i) {
+        const auto [row, col] = cell(i);
+        out[row * cols + col] = std::move(ran[i]);
+    }
+    return out;
 }
 
 /**
@@ -686,9 +717,9 @@ runPrefetch(const AppProfile &app, Prefetcher &pf, uint64_t instr,
         seeded.seed = seed;
     // Arena on: replay the workload's materialized records (generated
     // once per (profile, instr) across the whole sweep). Arena off:
-    // a private live generator, the pre-arena behavior. Either way the
-    // core consumes byte-identical records (trace/replay.h).
-    const std::unique_ptr<TraceSource> trace =
+    // replay a private materialization. Either way the core consumes
+    // byte-identical records (trace/replay.h).
+    const std::unique_ptr<ReplaySource> trace =
         makeRunSource(seeded, instr);
     CoreModel core(CoreConfig{}, hier, *trace, &pf, nullptr, dram);
 

@@ -22,8 +22,9 @@ namespace {
 double
 run(const AppProfile &app, Prefetcher &pf, uint64_t instr)
 {
-    SyntheticTrace trace(app);
-    CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &pf);
+    // Every run replays one shared materialization of the workload.
+    const auto trace = makeRunSource(app, instr);
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, *trace, &pf);
     core.run(instr);
     return core.ipc();
 }

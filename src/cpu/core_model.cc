@@ -9,40 +9,30 @@
 namespace mab {
 
 CoreModel::CoreModel(const CoreConfig &config,
-                     const HierarchyConfig &hconfig, TraceSource &trace,
+                     const HierarchyConfig &hconfig, ReplaySource &trace,
                      Prefetcher *l2Prefetcher, Prefetcher *l1Prefetcher,
                      const DramConfig &dram)
     : config_(config), hierarchy_(hconfig, dram), trace_(trace),
       l2Prefetcher_(l2Prefetcher), l1Prefetcher_(l1Prefetcher),
+      banditL2_(dynamic_cast<BanditPrefetchController *>(l2Prefetcher)),
       fetchStep_(1.0 / config.fetchWidth),
       commitStep_(1.0 / config.commitWidth),
       robCommit_(config.robSize, 0.0)
 {
-    cacheConcreteTypes();
 }
 
 CoreModel::CoreModel(const CoreConfig &config,
                      const HierarchyConfig &hconfig, Cache *sharedLlc,
-                     Dram *sharedDram, TraceSource &trace,
+                     Dram *sharedDram, ReplaySource &trace,
                      Prefetcher *l2Prefetcher, Prefetcher *l1Prefetcher)
     : config_(config), hierarchy_(hconfig, sharedLlc, sharedDram),
       trace_(trace), l2Prefetcher_(l2Prefetcher),
       l1Prefetcher_(l1Prefetcher),
+      banditL2_(dynamic_cast<BanditPrefetchController *>(l2Prefetcher)),
       fetchStep_(1.0 / config.fetchWidth),
       commitStep_(1.0 / config.commitWidth),
       robCommit_(config.robSize, 0.0)
 {
-    cacheConcreteTypes();
-}
-
-void
-CoreModel::cacheConcreteTypes()
-{
-    // One dynamic_cast per simulator instead of one indirect call per
-    // instruction (see the member comment in core_model.h).
-    replayTrace_ = dynamic_cast<ReplaySource *>(&trace_);
-    synthTrace_ = dynamic_cast<SyntheticTrace *>(&trace_);
-    banditL2_ = dynamic_cast<BanditPrefetchController *>(l2Prefetcher_);
 }
 
 template <bool Profiled>
@@ -68,73 +58,9 @@ CoreModel::issuePrefetchesT(const PrefetchAccess &access, bool at_l1)
     }
 }
 
-namespace {
-
-/** Accessor facade over an unpacked TraceRecord (live sources). */
-struct LiveRec
-{
-    TraceRecord r;
-    uint64_t pc() const { return r.pc; }
-    uint64_t addr() const { return r.addr; }
-    bool isMemory() const { return r.isMemory(); }
-    bool isLoad() const { return r.isLoad; }
-    bool isStore() const { return r.isStore; }
-    bool dependsOnPrevLoad() const { return r.dependsOnPrevLoad; }
-    bool
-    mispredictedBranch() const
-    {
-        return r.isBranch && r.mispredicted;
-    }
-};
-
-/** Accessor facade over a PackedRecord (replay): two registers, and
- *  every flag read is a bit test — the record is never unpacked. */
-struct PackedRec
-{
-    PackedRecord p;
-    uint64_t pc() const { return p.pcFlags & PackedRecord::kPcMask; }
-    uint64_t addr() const { return p.addr; }
-    bool
-    isMemory() const
-    {
-        return (p.pcFlags &
-                (PackedRecord::kLoad | PackedRecord::kStore)) != 0;
-    }
-    bool isLoad() const { return (p.pcFlags & PackedRecord::kLoad) != 0; }
-    bool
-    isStore() const
-    {
-        return (p.pcFlags & PackedRecord::kStore) != 0;
-    }
-    bool
-    dependsOnPrevLoad() const
-    {
-        return (p.pcFlags & PackedRecord::kDependsOnPrevLoad) != 0;
-    }
-    bool
-    mispredictedBranch() const
-    {
-        constexpr uint64_t both =
-            PackedRecord::kBranch | PackedRecord::kMispredicted;
-        return (p.pcFlags & both) == both;
-    }
-};
-
-} // namespace
-
 template <bool Profiled>
 void
-CoreModel::stepOneT()
-{
-    const TraceRecord rec = replayTrace_ ? replayTrace_->next()
-        : synthTrace_                    ? synthTrace_->next()
-                                         : trace_.next();
-    stepRecT<Profiled>(LiveRec{rec});
-}
-
-template <bool Profiled, class Rec>
-void
-CoreModel::stepRecT(const Rec &rec)
+CoreModel::stepRecT(const PackedRecord &rec)
 {
     std::conditional_t<Profiled, tracing::ScopedPhase,
                        tracing::NoopPhase>
@@ -158,7 +84,7 @@ CoreModel::stepRecT(const Rec &rec)
             issue_cycle = std::max(issue_cycle, prevLoadDone_);
 
         const auto res = hierarchy_.demandAccessT<Profiled>(
-            rec.addr(), rec.isStore(), issue_cycle);
+            rec.addr, rec.isStore(), issue_cycle);
         if (rec.isLoad()) {
             complete = std::max(complete,
                                 static_cast<double>(res.readyCycle));
@@ -169,7 +95,7 @@ CoreModel::stepRecT(const Rec &rec)
         if (l2Prefetcher_ && res.level != HitLevel::L1) {
             PrefetchAccess pa;
             pa.pc = rec.pc();
-            pa.addr = rec.addr();
+            pa.addr = rec.addr;
             pa.hit = res.level == HitLevel::L2;
             pa.cycle = issue_cycle;
             pa.instrCount = instructions_;
@@ -178,7 +104,7 @@ CoreModel::stepRecT(const Rec &rec)
         if (l1Prefetcher_) {
             PrefetchAccess pa;
             pa.pc = rec.pc();
-            pa.addr = rec.addr();
+            pa.addr = rec.addr;
             pa.hit = res.level == HitLevel::L1;
             pa.cycle = issue_cycle;
             pa.instrCount = instructions_;
@@ -198,10 +124,14 @@ CoreModel::stepRecT(const Rec &rec)
     ++instructions_;
 }
 
-// stepOne() in the header calls these from other translation units;
-// the definitions live in this file only.
-template void CoreModel::stepOneT<false>();
-template void CoreModel::stepOneT<true>();
+void
+CoreModel::stepOne()
+{
+    if (tracing::Tracer::profileActive())
+        stepRecT<true>(trace_.nextPacked());
+    else
+        stepRecT<false>(trace_.nextPacked());
+}
 
 template <bool Profiled>
 void
@@ -210,23 +140,15 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
     if (granularity == 0) {
         // The baseline loop: no sampling and (for the unprofiled
         // instantiation) no phase timers, no per-step dispatch branch
-        // anywhere down the call chain. With a ReplaySource the loop
-        // consumes packed records directly — no unpacked TraceRecord
-        // ever exists on the replay path.
-        if (replayTrace_) {
-            while (instructions_ < instructions)
-                stepRecT<Profiled>(
-                    PackedRec{replayTrace_->nextPacked()});
-            return;
-        }
+        // anywhere down the call chain.
         while (instructions_ < instructions)
-            stepOneT<Profiled>();
+            stepRecT<Profiled>(trace_.nextPacked());
         return;
     }
 
     uint64_t next_sample = (cycles() / granularity + 1) * granularity;
     while (instructions_ < instructions) {
-        stepOneT<Profiled>();
+        stepRecT<Profiled>(trace_.nextPacked());
         if (cycles() >= next_sample) {
             sampleInterval();
             next_sample =

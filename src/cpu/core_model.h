@@ -7,7 +7,6 @@
 #include "memory/hierarchy.h"
 #include "prefetch/prefetcher.h"
 #include "sim/tracing.h"
-#include "trace/generator.h"
 #include "trace/replay.h"
 
 namespace mab {
@@ -51,37 +50,31 @@ struct CoreConfig
  * the L2 (i.e. on L1 misses) and its requests are issued to the
  * hierarchy, which fills L2 + LLC. An optional L1 prefetcher observes
  * all demand accesses and fills the L1.
+ *
+ * Instructions are the PackedRecords of a ReplaySource, which must
+ * hold every record the core is asked to run.
  */
 class CoreModel
 {
   public:
     CoreModel(const CoreConfig &config, const HierarchyConfig &hconfig,
-              TraceSource &trace, Prefetcher *l2Prefetcher,
+              ReplaySource &trace, Prefetcher *l2Prefetcher,
               Prefetcher *l1Prefetcher = nullptr,
               const DramConfig &dram = {});
 
     /** Hierarchy with shared LLC/DRAM (multi-core experiments). */
     CoreModel(const CoreConfig &config, const HierarchyConfig &hconfig,
-              Cache *sharedLlc, Dram *sharedDram, TraceSource &trace,
+              Cache *sharedLlc, Dram *sharedDram, ReplaySource &trace,
               Prefetcher *l2Prefetcher,
               Prefetcher *l1Prefetcher = nullptr);
 
     /**
-     * Execute one instruction of the trace. Inline dispatch so the
-     * tracing-off path costs one predicted branch over the plain
-     * simulator step — no extra call layer on the hottest loop.
-     * run() hoists even that branch out by instantiating
-     * stepOneT<false>/<true> directly.
+     * Execute the next instruction of the trace (MultiCoreSystem
+     * interleaves its cores this way). The tracing-off path costs one
+     * predicted branch over the plain simulator step; run() hoists
+     * even that branch out of its loop.
      */
-    void
-    stepOne()
-    {
-        if (tracing::Tracer::profileActive()) {
-            stepOneT<true>();
-            return;
-        }
-        stepOneT<false>();
-    }
+    void stepOne();
 
     /** Run until @p instructions have been committed in total. */
     void run(uint64_t instructions);
@@ -129,20 +122,14 @@ class CoreModel
 
   private:
     /**
-     * One simulator step, templated on whether phase profiling is
-     * live. The false instantiation compiles to exactly the
-     * uninstrumented step (NoopPhase, demandAccessT<false>); defined
-     * in core_model.cc with explicit instantiations for both flavors.
+     * One simulator step over @p rec, templated on whether phase
+     * profiling is live. The false instantiation compiles to exactly
+     * the uninstrumented step (NoopPhase, demandAccessT<false>).
+     * Inlined into stepOne() and run()'s two loops (all in
+     * core_model.cc), so no loop pays a call per instruction.
      */
-    template <bool Profiled> void stepOneT();
-
-    /**
-     * The step body, templated on a record *view* so the replay loop
-     * feeds PackedRecords straight through (flag reads compile to bit
-     * tests on one register) while every other source goes through
-     * the unpacked TraceRecord facade. Views live in core_model.cc.
-     */
-    template <bool Profiled, class Rec> void stepRecT(const Rec &rec);
+    template <bool Profiled>
+    [[gnu::always_inline]] inline void stepRecT(const PackedRecord &rec);
 
     template <bool Profiled>
     void issuePrefetchesT(const PrefetchAccess &access, bool at_l1);
@@ -154,9 +141,6 @@ class CoreModel
      */
     template <bool Profiled>
     void runTo(uint64_t instructions, uint64_t granularity);
-
-    /** Resolve the devirtualization caches (ctor helper). */
-    void cacheConcreteTypes();
 
     /** Last interval-sampler snapshot (sim/tracing.h); deltas between
      *  snapshots become the IPC / hit-rate / accuracy / DRAM-util
@@ -176,25 +160,15 @@ class CoreModel
 
     CoreConfig config_;
     CacheHierarchy hierarchy_;
-    TraceSource &trace_;
+    ReplaySource &trace_;
     Prefetcher *l2Prefetcher_;
     Prefetcher *l1Prefetcher_;
 
     /**
-     * Devirtualization caches, resolved once at construction: the two
-     * virtual calls on the per-instruction path are trace_.next() and
-     * l2Prefetcher_->onAccess(). When the dynamic types are the common
-     * ones (ReplaySource / SyntheticTrace; BanditPrefetchController,
-     * the paper's subject), the hot loop calls them through these
-     * pointers — the classes are final, so the calls are direct and
-     * inlinable. ReplaySource::next() is an in-header buffer load, so
-     * with the trace arena on the per-instruction trace cost collapses
-     * to a bounds check and a 16-byte unpack. Other dynamic types
-     * (FileTrace, the comparison prefetchers) fall back to the virtual
-     * call.
+     * Devirtualization cache, resolved once at construction: when the
+     * L2 prefetcher is a BanditPrefetchController (final; the paper's
+     * subject) onAccess() is a direct call through this pointer.
      */
-    ReplaySource *replayTrace_ = nullptr;
-    SyntheticTrace *synthTrace_ = nullptr;
     BanditPrefetchController *banditL2_ = nullptr;
 
     uint64_t instructions_ = 0;

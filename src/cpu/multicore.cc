@@ -1,8 +1,8 @@
 #include "cpu/multicore.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "sim/tracing.h"
@@ -14,28 +14,46 @@ MultiCoreSystem::MultiCoreSystem(const CoreConfig &config,
                                  const DramConfig &dram, int numCores)
     : coreConfig_(config), hierConfig_(hconfig)
 {
+    if (numCores < 1)
+        throw std::invalid_argument("MultiCoreSystem: numCores < 1");
     CacheConfig shared_llc = hconfig.llc;
     shared_llc.sizeBytes *= static_cast<uint64_t>(numCores);
     llc_ = std::make_unique<Cache>(shared_llc);
     dram_ = std::make_unique<Dram>(dram);
-    cores_.resize(numCores);
+    slots_.resize(numCores);
 }
 
 void
-MultiCoreSystem::attachCore(int index, TraceSource &trace,
+MultiCoreSystem::attachCore(int index, const AppProfile &app,
                             Prefetcher *l2pf)
 {
-    assert(index >= 0 && index < static_cast<int>(cores_.size()));
-    cores_[index] = std::make_unique<CoreModel>(
-        coreConfig_, hierConfig_, llc_.get(), dram_.get(), trace, l2pf);
+    if (index < 0 || index >= numCores())
+        throw std::invalid_argument(
+            "MultiCoreSystem::attachCore: no core " + std::to_string(index));
+    Slot &slot = slots_[index];
+    slot.app = app;
+    // Empty until run() sizes it to the instruction target.
+    slot.trace = std::make_unique<ReplaySource>(acquireRunTrace(app, 0));
+    slot.core = std::make_unique<CoreModel>(coreConfig_, hierConfig_,
+                                            llc_.get(), dram_.get(),
+                                            *slot.trace, l2pf);
 }
 
 MultiCoreResult
 MultiCoreSystem::run(uint64_t instrPerCore)
 {
-    const int n = static_cast<int>(cores_.size());
-    for (int i = 0; i < n; ++i)
-        assert(cores_[i] && "attachCore() missing for a core");
+    const int n = numCores();
+    // Finished cores keep running, so how far a core reads is unknown
+    // in advance: traces start half again past the target (rarely
+    // overrun by homogeneous mixes) and double when they run out.
+    const uint64_t start = instrPerCore + instrPerCore / 2;
+    for (int i = 0; i < n; ++i) {
+        if (!slots_[i].core)
+            throw std::logic_error("MultiCoreSystem::run: core " +
+                                   std::to_string(i) + " not attached");
+        if (slots_[i].trace->size() < start)
+            slots_[i].trace->extend(acquireRunTrace(slots_[i].app, start));
+    }
 
     MultiCoreResult result;
     result.ipc.assign(n, 0.0);
@@ -58,34 +76,39 @@ MultiCoreSystem::run(uint64_t instrPerCore)
         int pick = -1;
         uint64_t best = std::numeric_limits<uint64_t>::max();
         for (int i = 0; i < n; ++i) {
-            const uint64_t c = cores_[i]->cycles();
+            const uint64_t c = slots_[i].core->cycles();
             if (c < best) {
                 best = c;
                 pick = i;
             }
         }
-        cores_[pick]->stepOne();
+        Slot &slot = slots_[pick];
+        ReplaySource &trace = *slot.trace;
+        if (trace.position() == trace.size()) [[unlikely]]
+            trace.extend(acquireRunTrace(
+                slot.app, std::max<uint64_t>(2 * trace.size(), 1)));
+        CoreModel &core = *slot.core;
+        core.stepOne();
 
-        if (!recorded[pick] &&
-            cores_[pick]->instructions() >= instrPerCore) {
+        if (!recorded[pick] && core.instructions() >= instrPerCore) {
             recorded[pick] = true;
-            result.ipc[pick] = cores_[pick]->ipc();
+            result.ipc[pick] = core.ipc();
             --remaining;
         }
 
         if (granularity != 0 && best >= next_sample) {
             for (int i = 0; i < n; ++i) {
-                const uint64_t d_c =
-                    cores_[i]->cycles() - last_cycles[i];
+                const CoreModel &c = *slots_[i].core;
+                const uint64_t d_c = c.cycles() - last_cycles[i];
                 if (d_c == 0)
                     continue;
                 tracer.counterSample(
                     "core" + std::to_string(i) + ".IPC", best,
-                    static_cast<double>(cores_[i]->instructions() -
+                    static_cast<double>(c.instructions() -
                                         last_instr[i]) /
                         static_cast<double>(d_c));
-                last_instr[i] = cores_[i]->instructions();
-                last_cycles[i] = cores_[i]->cycles();
+                last_instr[i] = c.instructions();
+                last_cycles[i] = c.cycles();
             }
             if (best > last_clock) {
                 tracer.counterSample(
@@ -110,13 +133,13 @@ MultiCoreSystem::exportStats(StatsRegistry &reg,
 {
     uint64_t max_cycles = 0;
     double sum_ipc = 0.0;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-        if (!cores_[i])
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        const CoreModel *core = slots_[i].core.get();
+        if (!core)
             continue;
-        cores_[i]->exportStats(reg,
-                               prefix + ".core" + std::to_string(i));
-        max_cycles = std::max(max_cycles, cores_[i]->cycles());
-        sum_ipc += cores_[i]->ipc();
+        core->exportStats(reg, prefix + ".core" + std::to_string(i));
+        max_cycles = std::max(max_cycles, core->cycles());
+        sum_ipc += core->ipc();
     }
     reg.setScalar(prefix + ".sumIpc", sum_ipc);
     reg.setCounter(prefix + ".cycles", max_cycles);

@@ -28,6 +28,9 @@ struct MultiCoreResult
  * contending) until every core has finished, but their IPC is
  * recorded at the target point — the standard multi-programmed
  * methodology.
+ * Each core replays a trace of its profile from acquireRunTrace(); a
+ * core that runs past its trace continues on one twice as long
+ * (ReplaySource::extend).
  */
 class MultiCoreSystem
 {
@@ -35,23 +38,29 @@ class MultiCoreSystem
     /**
      * @param hconfig per-core hierarchy; the shared LLC capacity is
      *                hconfig.llc.sizeBytes (per core) times numCores.
+     * @throws std::invalid_argument if @p numCores is below 1.
      */
     MultiCoreSystem(const CoreConfig &config,
                     const HierarchyConfig &hconfig,
                     const DramConfig &dram, int numCores);
 
     /**
-     * Attach core @p index. @p trace and @p l2pf must outlive the
-     * system. Must be called for every core before run().
+     * Attach core @p index running @p app; the system owns the core's
+     * trace source. @p l2pf must outlive the system. Must be called
+     * for every core before run().
+     * @throws std::invalid_argument if @p index is out of range.
      */
-    void attachCore(int index, TraceSource &trace, Prefetcher *l2pf);
+    void attachCore(int index, const AppProfile &app, Prefetcher *l2pf);
 
-    /** Run until every core commits @p instrPerCore instructions. */
+    /**
+     * Run until every core commits @p instrPerCore instructions.
+     * @throws std::logic_error if a core is not attached.
+     */
     MultiCoreResult run(uint64_t instrPerCore);
 
-    CoreModel &core(int index) { return *cores_[index]; }
+    CoreModel &core(int index) { return *slots_[index].core; }
     Dram &dram() { return *dram_; }
-    int numCores() const { return static_cast<int>(cores_.size()); }
+    int numCores() const { return static_cast<int>(slots_.size()); }
 
     /**
      * Export the whole system under @p prefix: every attached core
@@ -62,11 +71,19 @@ class MultiCoreSystem
                      const std::string &prefix = "system") const;
 
   private:
+    /** One core: its profile, trace source and timing model. */
+    struct Slot
+    {
+        AppProfile app;
+        std::unique_ptr<ReplaySource> trace;
+        std::unique_ptr<CoreModel> core;
+    };
+
     CoreConfig coreConfig_;
     HierarchyConfig hierConfig_;
     std::unique_ptr<Cache> llc_;
     std::unique_ptr<Dram> dram_;
-    std::vector<std::unique_ptr<CoreModel>> cores_;
+    std::vector<Slot> slots_;
 };
 
 } // namespace mab

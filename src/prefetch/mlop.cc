@@ -1,15 +1,19 @@
 #include "prefetch/mlop.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "trace/record.h"
 
 namespace mab {
 
 MlopPrefetcher::MlopPrefetcher(int levels, int history, int epoch)
-    : levels_(levels), epoch_(epoch), history_(history, 0),
-      ordered_(history, 0), chosen_(levels, 0)
+    : levels_(levels), epoch_(epoch), history_(std::max(history, 0), 0),
+      ordered_(history_.size(), 0), chosen_(std::max(levels, 0), 0)
 {
+    if (levels < 1 || history < 1 || epoch < 1)
+        throw std::invalid_argument(
+            "MlopPrefetcher: levels, history and epoch must be >= 1");
 }
 
 uint64_t

@@ -1153,8 +1153,8 @@ genSimCase(uint64_t seed)
 std::string
 checkSimProperties(const SimCase &c)
 {
-    AppProfile app = c.app;
-    SyntheticTrace trace(app);
+    const AppProfile &app = c.app;
+    ReplaySource trace(MaterializedTrace::generate(app, c.instructions));
     std::unique_ptr<Prefetcher> pf =
         makeSimPrefetcher(c.prefetcher, app.seed);
     const CoreConfig core_cfg;
@@ -1272,7 +1272,7 @@ shrinkSimCase(const SimCase &c)
 }
 
 // ---------------------------------------------------------------------
-// Live-vs-replay trace oracle
+// Generator-vs-replay trace oracle
 // ---------------------------------------------------------------------
 
 namespace {
@@ -1340,16 +1340,43 @@ coreCounters(const CoreModel &core)
             ps.wrong};
 }
 
-/** coreCounters() of one run of @p c over @p trace. */
+/** coreCounters() of one run of @p c over @p trace. With @p grow, a
+ *  source that runs out continues on a fresh materialization twice as
+ *  long (capped at the run), as MultiCoreSystem grows its traces. */
 std::vector<uint64_t>
-simCounters(const SimCase &c, TraceSource &trace)
+simCounters(const SimCase &c, ReplaySource &trace, bool grow = false)
 {
     std::unique_ptr<Prefetcher> pf =
         makeSimPrefetcher(c.prefetcher, c.app.seed);
     CoreModel core(CoreConfig{}, c.hier, trace, pf.get(), nullptr,
                    c.dram);
+    while (grow && trace.size() < c.instructions) {
+        core.run(trace.size());
+        trace.extend(MaterializedTrace::generate(
+            c.app, std::min(c.instructions,
+                            std::max<uint64_t>(2 * trace.size(), 1))));
+    }
     core.run(c.instructions);
     return coreCounters(core);
+}
+
+/** The grown-vs-whole leg: @p c grown from its first @p prefix
+ *  records vs @p c over @p whole. Returns the first counter that
+ *  differs, or "". */
+std::string
+diffGrownVsWhole(const SimCase &c,
+                 const std::shared_ptr<MaterializedTrace> &whole,
+                 uint64_t prefix)
+{
+    ReplaySource grown(MaterializedTrace::generate(c.app, prefix));
+    const std::vector<uint64_t> a = simCounters(c, grown, true);
+    ReplaySource replay(whole);
+    const std::vector<uint64_t> b = simCounters(c, replay);
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i] != b[i])
+            return kCoreCounterNames[i];
+    }
+    return "";
 }
 
 } // namespace
@@ -1377,20 +1404,15 @@ checkReplayEquivalence(uint64_t seed)
             return err + " (" + formatSimCase(c) + ")";
     }
 
-    // End-to-end: the same case simulated over the live generator and
-    // over the replayed materialization must export identical
-    // counters, bit for bit.
-    SyntheticTrace live(c.app);
-    const std::vector<uint64_t> a = simCounters(c, live);
-    ReplaySource replay(mat);
-    const std::vector<uint64_t> b = simCounters(c, replay);
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] != b[i])
-            return std::string("counter ") + kCoreCounterNames[i] +
-                " differs between the live-generator run and the "
-                "replay run (" +
-                formatSimCase(c) + ")";
-    }
+    // End-to-end: the same case simulated over a trace grown from a
+    // random-length prefix and over the whole materialization must
+    // export identical counters, bit for bit.
+    const uint64_t prefix = Rng(subSeed(seed, 65)).below(n + 1);
+    const std::string counter = diffGrownVsWhole(c, mat, prefix);
+    if (!counter.empty())
+        return "counter " + counter + " differs between the run grown "
+            "from " + std::to_string(prefix) + " records and the "
+            "whole-trace run (" + formatSimCase(c) + ")";
     return "";
 }
 
@@ -1405,7 +1427,7 @@ formatDriftCase(const DriftCase &c)
                                         "adversarial"};
     std::ostringstream os;
     os << "drift case: kind=" << kinds[c.kind % 3]
-       << " instr=" << c.instructions
+       << " instr=" << c.instructions << " prefix=" << c.prefixInstrs
        << " segments=" << c.drift.schedule.size()
        << " phases=" << c.drift.app.phases.size()
        << " seed=" << c.drift.app.seed << " pf=" << c.prefetcher
@@ -1456,6 +1478,7 @@ genDriftCase(uint64_t seed)
     c.instructions =
         std::min<uint64_t>(c.drift.totalInstrs(),
                            1200 + rng.below(1800));
+    c.prefixInstrs = Rng(subSeed(seed, 124)).below(c.instructions + 1);
     // Machine config (degenerate geometries included) from an
     // independent sim-case draw.
     const SimCase donor = genSimCase(subSeed(seed, 130));
@@ -1503,8 +1526,7 @@ diffDriftCase(const DriftCase &c)
 
     // Replay equivalence of the drifting stream: record-for-record
     // (fresh and post-reset), then end-to-end counters of one run
-    // over live generation vs materialized replay — the arena-on
-    // vs arena-off delivery paths.
+    // over a trace grown from a prefix vs the whole materialization.
     const uint64_t n = c.instructions;
     const auto mat = MaterializedTrace::generate(c.drift.app, n);
     {
@@ -1527,17 +1549,12 @@ diffDriftCase(const DriftCase &c)
         sc.dram = c.dram;
         sc.prefetcher = c.prefetcher;
         sc.instructions = n;
-        SyntheticTrace live(c.drift.app);
-        const std::vector<uint64_t> want = simCounters(sc, live);
-        ReplaySource replay(mat);
-        const std::vector<uint64_t> got = simCounters(sc, replay);
-        for (size_t i = 0; i < want.size(); ++i) {
-            if (want[i] != got[i])
-                return std::string("drift counter ") +
-                    kCoreCounterNames[i] +
-                    " differs between live and replay delivery (" +
-                    formatDriftCase(c) + ")";
-        }
+        const std::string counter =
+            diffGrownVsWhole(sc, mat, std::min(c.prefixInstrs, n));
+        if (!counter.empty())
+            return "drift counter " + counter +
+                " differs between the grown and the whole-trace run (" +
+                formatDriftCase(c) + ")";
     }
 
     // Regret conservation at the per-phase oracle: phases partition

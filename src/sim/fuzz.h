@@ -372,16 +372,18 @@ std::string checkSimProperties(const SimCase &c);
 SimCase shrinkSimCase(const SimCase &c);
 
 // ---------------------------------------------------------------------
-// Live-vs-replay trace oracle
+// Generator-vs-replay trace oracle
 // ---------------------------------------------------------------------
 
 /**
  * Differential check of the trace arena's byte-identity invariant on
  * a fuzzed sim config: materialize the case's workload, then
- *  - diff a live SyntheticTrace against a ReplaySource field-for-
- *    field over every record (including again after reset()), and
- *  - run the case's CoreModel once over the live generator and once
- *    over the replay source, diffing every exported counter.
+ *  - diff a SyntheticTrace against a ReplaySource field-for-field
+ *    over every record (including again after reset()), and
+ *  - run the case's CoreModel once over a ReplaySource started on a
+ *    random-length prefix and extend()ed to twice its length whenever
+ *    it runs out, and once over the whole trace, diffing every
+ *    exported counter.
  * Returns "" on agreement, else the first divergence.
  */
 std::string checkReplayEquivalence(uint64_t seed);
@@ -402,7 +404,9 @@ struct DriftCase
     int kind = 1;
     DriftProfile drift;
     uint64_t instructions = 2000;
-    /** Machine the live-vs-replay counter leg runs on. */
+    /** Start of the grown run (grown-vs-whole counter leg). */
+    uint64_t prefixInstrs = 0;
+    /** Machine the grown-vs-whole counter leg runs on. */
     HierarchyConfig hier;
     DramConfig dram;
     std::string prefetcher = "None";
@@ -421,10 +425,10 @@ DriftCase genDriftCase(uint64_t seed);
  * Check the case end to end:
  *  - schedule structure: contiguous segments covering the profile's
  *    phase lengths exactly, driftSegmentAt agreeing at boundaries;
- *  - replay equivalence: a live SyntheticTrace of the drifting
- *    profile vs its materialized replay, record-for-record (fresh and
- *    post-reset) and end-to-end counters (arena-on vs arena-off
- *    delivery of the same drifting stream);
+ *  - replay equivalence: a SyntheticTrace of the drifting profile vs
+ *    its materialized replay, record-for-record (fresh and
+ *    post-reset), and end-to-end counters of a run grown from a
+ *    prefix vs a run over the whole trace;
  *  - regret conservation: per-phase regrets of the
  *    PhasedRegretTracker sum exactly to cumulative(), per-phase step
  *    counts to steps(), with the expected phase count.

@@ -218,28 +218,4 @@ SyntheticTrace::next()
     return rec;
 }
 
-std::unique_ptr<TraceSource>
-makePhaseShuffledTrace(const AppProfile &app, uint64_t shuffle_seed)
-{
-    AppProfile shuffled = app;
-    shuffled.name = app.name + "_dyn";
-    shuffled.seed = app.seed ^ (shuffle_seed * 0x9E3779B97F4A7C15ull);
-
-    // Replay the phases twice, in a seed-determined order, with half
-    // the length: the same program content but more phase changes.
-    std::vector<PatternPhase> phases;
-    Rng rng(shuffled.seed);
-    for (int rep = 0; rep < 2; ++rep) {
-        std::vector<PatternPhase> block = app.phases;
-        for (size_t i = block.size(); i > 1; --i)
-            std::swap(block[i - 1], block[rng.below(i)]);
-        for (auto &ph : block) {
-            ph.lengthInstrs = std::max<uint64_t>(ph.lengthInstrs / 2, 1);
-            phases.push_back(ph);
-        }
-    }
-    shuffled.phases = std::move(phases);
-    return std::make_unique<SyntheticTrace>(std::move(shuffled));
-}
-
 } // namespace mab

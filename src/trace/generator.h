@@ -2,7 +2,6 @@
 #define MAB_TRACE_GENERATOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,22 +9,6 @@
 #include "trace/record.h"
 
 namespace mab {
-
-/** Abstract source of dynamic instructions. */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-
-    /** Produce the next dynamic instruction. Sources never run dry. */
-    virtual TraceRecord next() = 0;
-
-    /** Restart the trace from the beginning. */
-    virtual void reset() = 0;
-
-    /** Name of the workload (used in reports). */
-    virtual const std::string &name() const = 0;
-};
 
 /** Memory access pattern regimes the generators can produce. */
 enum class PatternKind
@@ -113,18 +96,19 @@ struct AppProfile
  * Synthetic trace generator. Expands an AppProfile into a deterministic
  * dynamic instruction stream that exercises the configured access
  * pattern regimes (the stand-in for the DPC-3 / CRC-2 / Pythia trace
- * collections, see DESIGN.md).
+ * collections, see DESIGN.md). Cores replay its first n records
+ * through MaterializedTrace::generate (trace/replay.h).
  */
-class SyntheticTrace final : public TraceSource
+class SyntheticTrace
 {
   public:
     explicit SyntheticTrace(AppProfile profile);
 
-    TraceRecord next() override;
-    void reset() override;
-    const std::string &name() const override { return profile_.name; }
+    /** Produce the next dynamic instruction (the stream never ends). */
+    TraceRecord next();
 
-    const AppProfile &profile() const { return profile_; }
+    /** Restart the stream from the beginning. */
+    void reset();
 
     /** Index of the phase the generator is currently in. */
     size_t currentPhase() const { return phaseIdx_; }
@@ -162,15 +146,6 @@ class SyntheticTrace final : public TraceSource
     uint64_t regionBase_ = 0;
     int regionPos_ = 0;
 };
-
-/**
- * Concatenate a trace with phase-shifted variants of itself, modeling
- * the paper's rule for extending short traces to 1B instructions
- * (Section 6.2): the extension replays phases of the same program in a
- * different order to create highly-dynamic scenarios.
- */
-std::unique_ptr<TraceSource> makePhaseShuffledTrace(const AppProfile &app,
-                                                    uint64_t shuffle_seed);
 
 } // namespace mab
 

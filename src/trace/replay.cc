@@ -68,8 +68,8 @@ MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      uint64_t count,
                                      const PackedRecord *payload,
                                      std::shared_ptr<PayloadOwner> owner)
-    : name_(profile.name), count_(count), data_(payload),
-      owner_(std::move(owner))
+    : name_(profile.name), fingerprint_(profileFingerprint(profile)),
+      count_(count), data_(payload), owner_(std::move(owner))
 {
 }
 
@@ -97,6 +97,19 @@ ReplaySource::throwExhausted() const
         "ReplaySource '" + trace_->name() + "' exhausted after " +
         std::to_string(size_) +
         " records: the run consumed more than was materialized");
+}
+
+void
+ReplaySource::extend(std::shared_ptr<MaterializedTrace> longer)
+{
+    if (!longer || longer->size() < size_ ||
+        longer->fingerprint() != trace_->fingerprint())
+        throw std::invalid_argument(
+            "ReplaySource::extend: not a longer trace of '" +
+            trace_->name() + "'");
+    trace_ = std::move(longer);
+    data_ = trace_->data();
+    size_ = trace_->size();
 }
 
 TraceArena::TraceArena() : budgetBytes_(kDefaultBudgetBytes)
@@ -296,14 +309,20 @@ TraceArena::acquireTrace(const AppProfile &profile, uint64_t count)
     return std::static_pointer_cast<MaterializedTrace>(item);
 }
 
-std::unique_ptr<TraceSource>
-makeRunSource(const AppProfile &profile, uint64_t instructions)
+std::shared_ptr<MaterializedTrace>
+acquireRunTrace(const AppProfile &profile, uint64_t count)
 {
     TraceArena &arena = TraceArena::global();
-    if (instructions == 0 || !arena.enabled())
-        return std::make_unique<SyntheticTrace>(profile);
+    if (count == 0 || !arena.enabled())
+        return MaterializedTrace::generate(profile, count);
+    return arena.acquireTrace(profile, count);
+}
+
+std::unique_ptr<ReplaySource>
+makeRunSource(const AppProfile &profile, uint64_t instructions)
+{
     return std::make_unique<ReplaySource>(
-        arena.acquireTrace(profile, instructions));
+        acquireRunTrace(profile, instructions));
 }
 
 } // namespace mab

@@ -20,29 +20,29 @@ namespace mab {
  * subsystem).
  *
  * Every sweep point used to re-synthesize its workload one
- * TraceSource::next() call at a time: fig8 alone generates the same
- * instruction stream once per prefetcher (6x per workload), and the
- * tune/ablation grids are worse. ChampSim and Pythia's harness
- * amortize this by replaying pre-materialized traces; this header
- * brings that to the sweep engine.
+ * SyntheticTrace::next() call at a time: fig8 alone generates the
+ * same instruction stream once per prefetcher (6x per workload), and
+ * the tune/ablation grids are worse. ChampSim and Pythia's harness
+ * amortize this by replaying pre-materialized traces; here every
+ * core, single or multi, runs on one.
  *
  *  - PackedRecord: a 16-byte buffer format for TraceRecord (flags
  *    bit-packed into the top byte of the PC word).
  *  - MaterializedTrace: one immutable contiguous PackedRecord
  *    array, generated whole on the arena miss (or mapped from an
  *    arena file) before any run reads it.
- *  - ReplaySource: a TraceSource whose next() is a trivially
- *    inlinable load from the array.
+ *  - ReplaySource: a core's read position in a MaterializedTrace;
+ *    nextPacked() is a trivially inlinable load from the array.
  *  - TraceArena: a process-wide, mutex-guarded cache of materialized
  *    workloads, shared_ptr-shared across sweep tasks, with a byte
  *    budget, LRU eviction and hit/miss/bytes/genMs counters (the
  *    meta.traceArena block of --json reports).
  *
- * Hard invariant: replay is byte-identical to live generation. A
- * materialized trace holds exactly the records the equivalent
- * SyntheticTrace would produce, so every sweep's output is unchanged
- * — to the byte, at any job count — whether the arena is on or off
- * (enforced by tests/test_replay.cc and fuzzed by sim/fuzz.cc).
+ * Hard invariant: a materialized trace holds exactly the records the
+ * equivalent SyntheticTrace produces, so every sweep's output is the
+ * same — to the byte, at any job count — whether its traces come from
+ * the arena or are materialized privately (enforced by
+ * tests/test_replay.cc and fuzzed by sim/fuzz.cc).
  */
 
 /**
@@ -64,6 +64,23 @@ struct PackedRecord
 
     uint64_t pcFlags = 0;
     uint64_t addr = 0;
+
+    // Flag reads are bit tests: the core's step loop never unpacks.
+    uint64_t pc() const { return pcFlags & kPcMask; }
+    bool isLoad() const { return (pcFlags & kLoad) != 0; }
+    bool isStore() const { return (pcFlags & kStore) != 0; }
+    bool isMemory() const { return (pcFlags & (kLoad | kStore)) != 0; }
+    bool
+    dependsOnPrevLoad() const
+    {
+        return (pcFlags & kDependsOnPrevLoad) != 0;
+    }
+    bool
+    mispredictedBranch() const
+    {
+        return (pcFlags & (kBranch | kMispredicted)) ==
+            (kBranch | kMispredicted);
+    }
 
     static PackedRecord
     pack(const TraceRecord &rec)
@@ -91,13 +108,13 @@ struct PackedRecord
     unpack() const
     {
         TraceRecord rec;
-        rec.pc = pcFlags & kPcMask;
+        rec.pc = pc();
         rec.addr = addr;
-        rec.isLoad = (pcFlags & kLoad) != 0;
-        rec.isStore = (pcFlags & kStore) != 0;
+        rec.isLoad = isLoad();
+        rec.isStore = isStore();
         rec.isBranch = (pcFlags & kBranch) != 0;
         rec.mispredicted = (pcFlags & kMispredicted) != 0;
-        rec.dependsOnPrevLoad = (pcFlags & kDependsOnPrevLoad) != 0;
+        rec.dependsOnPrevLoad = dependsOnPrevLoad();
         return rec;
     }
 };
@@ -166,6 +183,9 @@ class MaterializedTrace final : public ArenaItem
     uint64_t size() const { return count_; }
     const std::string &name() const { return name_; }
 
+    /** profileFingerprint() of the generating profile. */
+    const std::string &fingerprint() const { return fingerprint_; }
+
     uint64_t bytes() const override
     {
         return count_ * sizeof(PackedRecord);
@@ -174,6 +194,7 @@ class MaterializedTrace final : public ArenaItem
 
   private:
     std::string name_;
+    std::string fingerprint_;
     uint64_t count_;
     const PackedRecord *data_;
     std::shared_ptr<PayloadOwner> owner_;
@@ -181,19 +202,15 @@ class MaterializedTrace final : public ArenaItem
 };
 
 /**
- * TraceSource over a MaterializedTrace: next() is a bounds check, one
- * 16-byte load and a flag unpack — no RNG, no phase machinery.
+ * The trace source of a core: a read position in a MaterializedTrace.
+ * nextPacked() is a bounds check and one 16-byte load, defined
+ * in-class so the CoreModel step loop inlines it.
  *
- * The class is final and next() is defined in-class so the CoreModel
- * hot loop (which caches the concrete pointer, see cpu/core_model.h)
- * inlines it.
- *
- * Unlike FileTrace the source does NOT wrap around: running past the
- * end would silently diverge from live generation, so it throws
- * instead (the arena always materializes exactly the records a run
- * consumes).
+ * The source does NOT wrap around: running past the end throws. A
+ * single-core run materializes exactly the records it consumes; a
+ * multi-core run grows a source that runs out with extend().
  */
-class ReplaySource final : public TraceSource
+class ReplaySource final
 {
   public:
     explicit ReplaySource(std::shared_ptr<MaterializedTrace> trace)
@@ -216,14 +233,21 @@ class ReplaySource final : public TraceSource
         return data_[pos_++];
     }
 
-    TraceRecord next() override { return nextPacked().unpack(); }
+    /** The next record unpacked (record-level checks and tests). */
+    TraceRecord next() { return nextPacked().unpack(); }
 
-    void reset() override { pos_ = 0; }
-
-    const std::string &name() const override { return trace_->name(); }
+    void reset() { pos_ = 0; }
 
     uint64_t size() const { return size_; }
     uint64_t position() const { return pos_; }
+
+    /**
+     * Continue on @p longer, keeping the read position. Exact because
+     * a trace of n records is the prefix of every longer trace of the
+     * same profile. Throws std::invalid_argument if @p longer is
+     * shorter or of another profile (fingerprints differ).
+     */
+    void extend(std::shared_ptr<MaterializedTrace> longer);
 
   private:
     [[noreturn]] void throwExhausted() const;
@@ -233,6 +257,10 @@ class ReplaySource final : public TraceSource
     uint64_t size_;
     uint64_t pos_ = 0;
 };
+
+/** The benchmark harness (perfbench/) still spells ReplaySource by its
+ *  old abstract base's name; new code says ReplaySource. */
+using TraceSource = ReplaySource;
 
 /**
  * Process-wide cache of materialized workloads, shared across
@@ -262,8 +290,8 @@ class ReplaySource final : public TraceSource
  *
  * The byte budget (default 512 MiB) is set through setBudgetBytes()
  * and the on/off switch through setEnabled(); the bench harness parses
- * MAB_TRACE_ARENA_MB and MAB_TRACE_ARENA (0 = every run generates
- * live; the flag --no-trace-cache does the same) into them
+ * MAB_TRACE_ARENA_MB and MAB_TRACE_ARENA (0 = every run materializes
+ * a private trace; the flag --no-trace-cache does the same) into them
  * (bench/common.h, resolveArenaBudget and resolveArenaEnabled).
  */
 class TraceArena
@@ -350,15 +378,18 @@ class TraceArena
 /** Exact (collision-free) arena key fragment for @p profile. */
 std::string profileFingerprint(const AppProfile &profile);
 
+/** The first @p count records of @p profile: shared from the arena
+ *  when it is enabled, else privately generated. */
+std::shared_ptr<MaterializedTrace>
+acquireRunTrace(const AppProfile &profile, uint64_t count);
+
 /**
- * The trace source of one sweep run over @p profile consuming exactly
- * @p instructions records: a ReplaySource over the arena's
- * materialized workload when the arena is enabled, else a live
- * SyntheticTrace. This is the one entry point the bench run helpers
- * and the golden-snapshot driver route through.
+ * The trace source of one run over @p profile consuming exactly
+ * @p instructions records (acquireRunTrace). The bench run helpers
+ * and the golden-snapshot driver route through it.
  */
-std::unique_ptr<TraceSource> makeRunSource(const AppProfile &profile,
-                                           uint64_t instructions);
+std::unique_ptr<ReplaySource> makeRunSource(const AppProfile &profile,
+                                            uint64_t instructions);
 
 } // namespace mab
 

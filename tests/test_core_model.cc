@@ -28,7 +28,7 @@ double
 runIpc(const AppProfile &app, Prefetcher *pf, uint64_t n = 300'000,
        CoreConfig cfg = {})
 {
-    SyntheticTrace trace(app);
+    ReplaySource trace(MaterializedTrace::generate(app, n));
     NullPrefetcher null_pf;
     CoreModel core(cfg, HierarchyConfig{}, trace,
                    pf ? pf : &null_pf);
@@ -38,12 +38,33 @@ runIpc(const AppProfile &app, Prefetcher *pf, uint64_t n = 300'000,
 
 TEST(CoreModel, RunsExactInstructionCount)
 {
-    SyntheticTrace trace(pureApp(PatternKind::Random));
+    ReplaySource trace(
+        MaterializedTrace::generate(pureApp(PatternKind::Random), 20'000));
     NullPrefetcher pf;
     CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &pf);
     core.run(12345);
     EXPECT_EQ(core.instructions(), 12345u);
+    EXPECT_EQ(trace.position(), 12345u);
     EXPECT_GT(core.cycles(), 0u);
+}
+
+TEST(CoreModel, StepOneMatchesRun)
+{
+    const AppProfile app = appByName("mcf06");
+    const uint64_t n = 30'000;
+    const auto mat = MaterializedTrace::generate(app, n);
+    ReplaySource a(mat), b(mat);
+    StreamPrefetcher pa(64), pb(64);
+    CoreModel ran(CoreConfig{}, HierarchyConfig{}, a, &pa);
+    CoreModel stepped(CoreConfig{}, HierarchyConfig{}, b, &pb);
+    ran.run(n);
+    for (uint64_t i = 0; i < n; ++i)
+        stepped.stepOne();
+    EXPECT_EQ(ran.cycles(), stepped.cycles());
+    EXPECT_EQ(ran.hierarchy().l2DemandAccesses(),
+              stepped.hierarchy().l2DemandAccesses());
+    EXPECT_EQ(ran.hierarchy().prefetchStats().issued,
+              stepped.hierarchy().prefetchStats().issued);
 }
 
 TEST(CoreModel, IpcBoundedByCommitWidth)
@@ -114,7 +135,7 @@ TEST(CoreModel, PrefetcherSeesOnlyL1Misses)
 {
     // An L1-resident workload must never train the L2 prefetcher.
     AppProfile app = pureApp(PatternKind::Streaming, 0.3, 8 << 10);
-    SyntheticTrace trace(app);
+    ReplaySource trace(MaterializedTrace::generate(app, 200'000));
     StreamPrefetcher pf(64);
     pf.setDegree(4);
     CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &pf);
@@ -132,7 +153,8 @@ TEST(CoreModel, DeterministicAcrossIdenticalRuns)
 TEST(CoreModel, BandwidthLimitCapsStreamIpc)
 {
     AppProfile app = pureApp(PatternKind::Streaming, 0.4);
-    SyntheticTrace t1(app), t2(app);
+    const auto mat = MaterializedTrace::generate(app, 200'000);
+    ReplaySource t1(mat), t2(mat);
     NullPrefetcher pf1, pf2;
     DramConfig slow;
     slow.mtps = 150;

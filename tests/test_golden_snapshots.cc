@@ -208,7 +208,7 @@ singleCoreSnapshot(const std::string &app_name, Prefetcher &pf,
 {
     // Through the arena path when enabled: the goldens passing with
     // the arena on is the end-to-end proof that replay is
-    // byte-identical to the live generation they were recorded from.
+    // byte-identical to the generator they were recorded from.
     const auto trace = makeRunSource(appByName(app_name), instr);
     CoreModel core(CoreConfig{}, HierarchyConfig{}, *trace, &pf);
     core.run(instr);
@@ -244,15 +244,13 @@ computeSnapshot(const std::string &scenario)
         return wrap(scenario, reg);
     }
     // "multicore"
-    SyntheticTrace t0(appByName("lbm06"));
-    SyntheticTrace t1(appByName("mcf06"));
     StridePrefetcher pf0(64, 1);
     StridePrefetcher pf1(64, 1);
 
     MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, DramConfig{},
                         2);
-    sys.attachCore(0, t0, &pf0);
-    sys.attachCore(1, t1, &pf1);
+    sys.attachCore(0, appByName("lbm06"), &pf0);
+    sys.attachCore(1, appByName("mcf06"), &pf1);
     sys.run(80'000);
 
     StatsRegistry reg;

@@ -35,7 +35,7 @@ runPf(const AppProfile &app, Prefetcher &pf, uint64_t n,
     AppProfile prof = app;
     if (seed != 0)
         prof.seed = seed;
-    SyntheticTrace trace(prof);
+    ReplaySource trace(MaterializedTrace::generate(prof, n));
     CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &pf);
     core.run(n);
     return core.ipc();

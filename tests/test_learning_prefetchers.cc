@@ -257,6 +257,19 @@ TEST(Mlop, ResetClearsOffsets)
         EXPECT_EQ(pf.levelOffset(k), 0);
 }
 
+TEST(Mlop, EmptyGeometryIsRejectedInEveryBuild)
+{
+    EXPECT_THROW(MlopPrefetcher(16, 0, 1024), std::invalid_argument);
+    EXPECT_THROW(MlopPrefetcher(0, 256, 1024), std::invalid_argument);
+    EXPECT_THROW(MlopPrefetcher(16, 256, 0), std::invalid_argument);
+    EXPECT_THROW(MlopPrefetcher(-1, 256, 1024), std::invalid_argument);
+    MlopPrefetcher smallest(1, 1, 1);
+    std::vector<uint64_t> out;
+    for (int i = 0; i < 8; ++i)
+        smallest.onAccess(access(1, 0x100000 + i * kLineBytes), out);
+    EXPECT_EQ(smallest.levels(), 1);
+}
+
 // ---------------------------------------------------------------------
 // IPCP.
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,9 +18,9 @@ using namespace mab;
 
 /**
  * Trace-arena / replay tests: the hard invariant is that replay is
- * byte-identical to live generation — every field of every record,
- * for every workload, after reset(), and for every thread that
- * acquires the trace concurrently.
+ * byte-identical to the generator — every field of every record, for
+ * every workload, after reset(), after extend(), and for every thread
+ * that acquires the trace concurrently.
  */
 
 static_assert(sizeof(PackedRecord) == 16,
@@ -159,7 +160,7 @@ TEST_F(ReplayTest, ConcurrentConsumersSeeIdenticalRecords)
 {
     const AppProfile app = appByName("ligra_bfs");
     const uint64_t n = 32'768;
-    auto hashOf = [](TraceSource &src, uint64_t count) {
+    auto hashOf = [](auto &src, uint64_t count) {
         uint64_t h = 1469598103934665603ull;
         for (uint64_t i = 0; i < count; ++i) {
             const TraceRecord rec = src.next();
@@ -255,20 +256,76 @@ TEST_F(ReplayTest, ArenaEvictsLeastRecentlyUsedOverBudget)
     EXPECT_EQ(arena.stats().misses, 4u);
 }
 
-TEST_F(ReplayTest, DisabledArenaFallsBackToLiveGeneration)
+TEST_F(ReplayTest, DisabledArenaMaterializesAPrivateTrace)
 {
-    TraceArena::global().setEnabled(false);
-    const auto src = makeRunSource(appByName("lbm06"), 1000);
-    EXPECT_NE(dynamic_cast<SyntheticTrace *>(src.get()), nullptr);
-    EXPECT_EQ(TraceArena::global().stats().misses, 0u);
+    TraceArena &arena = TraceArena::global();
+    arena.setEnabled(false);
+    const AppProfile app = appByName("lbm06");
+    const auto src = makeRunSource(app, 1000);
+    EXPECT_EQ(src->size(), 1000u);
+    EXPECT_EQ(src->position(), 0u);
+    SyntheticTrace gen(app);
+    for (uint64_t i = 0; i < 1000; ++i) {
+        expectSameRecord(gen.next(), src->next(), i, "private");
+        if (HasFatalFailure())
+            return;
+    }
+    const TraceArena::Stats off = arena.stats();
+    EXPECT_EQ(off.hits + off.misses, 0u);
+    EXPECT_EQ(off.entries, 0u);
 
-    TraceArena::global().setEnabled(true);
-    const auto replay = makeRunSource(appByName("lbm06"), 1000);
-    EXPECT_NE(dynamic_cast<ReplaySource *>(replay.get()), nullptr);
+    arena.setEnabled(true);
+    const auto shared = makeRunSource(app, 1000);
+    EXPECT_EQ(shared->size(), 1000u);
+    EXPECT_EQ(arena.stats().misses, 1u);
+}
+
+TEST_F(ReplayTest, ExtendKeepsThePositionAndContinuesTheStream)
+{
+    const AppProfile app = appByName("mcf06");
+    ReplaySource src(MaterializedTrace::generate(app, 700));
+    SyntheticTrace gen(app);
+    for (uint64_t i = 0; i < 700; ++i)
+        src.next();
+    for (uint64_t i = 0; i < 700; ++i)
+        gen.next();
+    src.extend(TraceArena::global().acquireTrace(app, 1500));
+    EXPECT_EQ(src.position(), 700u);
+    EXPECT_EQ(src.size(), 1500u);
+    for (uint64_t i = 700; i < 1500; ++i) {
+        expectSameRecord(gen.next(), src.next(), i, "extended");
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_THROW(src.next(), std::runtime_error);
+
+    // An equally long trace of the same workload is accepted.
+    src.extend(MaterializedTrace::generate(app, 1500));
+    EXPECT_EQ(src.position(), 1500u);
+}
+
+TEST_F(ReplayTest, ExtendRejectsAShorterTraceOrAnotherWorkload)
+{
+    const AppProfile app = appByName("mcf06");
+    ReplaySource src(MaterializedTrace::generate(app, 1000));
+    src.next();
+    EXPECT_THROW(src.extend(MaterializedTrace::generate(app, 999)),
+                 std::invalid_argument);
+    EXPECT_THROW(src.extend(nullptr), std::invalid_argument);
+    EXPECT_THROW(
+        src.extend(MaterializedTrace::generate(appByName("lbm06"), 2000)),
+        std::invalid_argument);
+    // Same name, other seed: another workload all the same.
+    AppProfile reseeded = app;
+    reseeded.seed += 911;
+    EXPECT_THROW(src.extend(MaterializedTrace::generate(reseeded, 2000)),
+                 std::invalid_argument);
+    EXPECT_EQ(src.size(), 1000u);
+    EXPECT_EQ(src.position(), 1u);
 }
 
 /** End-to-end: a CoreModel run over the arena must produce exactly
- *  the counters of the same run over a live generator. */
+ *  the counters of the same run over a private materialization. */
 TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
 {
     const AppProfile app = appByName("mcf06");
@@ -285,10 +342,10 @@ TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
     const auto generated = runOnce(); // arena miss: generates, replays
     const auto replayed = runOnce();  // arena hit: pure replay
     TraceArena::global().setEnabled(false);
-    const auto live = runOnce(); // pre-arena behavior
+    const auto priv = runOnce(); // private materialization
 
-    EXPECT_EQ(generated, live);
-    EXPECT_EQ(replayed, live);
+    EXPECT_EQ(generated, priv);
+    EXPECT_EQ(replayed, priv);
     TraceArena::global().setEnabled(true);
 }
 

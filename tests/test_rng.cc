@@ -181,7 +181,7 @@ TEST(SeedThreading, SameSeedSameSimulationResult)
     const auto run = [](uint64_t seed) {
         AppProfile app = appByName("lbm06");
         app.seed = seed;
-        SyntheticTrace trace(app);
+        ReplaySource trace(MaterializedTrace::generate(app, 50'000));
         StridePrefetcher pf(64, 1);
         CoreModel core(CoreConfig{}, HierarchyConfig{}, trace, &pf);
         core.run(50'000);

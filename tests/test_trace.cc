@@ -324,17 +324,6 @@ TEST(Suites, Mcf06HasPhaseChange)
     EXPECT_EQ(app.phases[1].kind, PatternKind::Strided);
 }
 
-TEST(PhaseShuffle, ProducesDoubledPhaseListWithHalvedLengths)
-{
-    const AppProfile app = appByName("mcf06");
-    auto shuffled = makePhaseShuffledTrace(app, 9);
-    ASSERT_NE(shuffled, nullptr);
-    EXPECT_NE(shuffled->name(), app.name);
-    // It must still produce a valid stream.
-    for (int i = 0; i < 10'000; ++i)
-        shuffled->next();
-}
-
 TEST(PatternKindNames, AllDistinct)
 {
     std::set<std::string> names;
